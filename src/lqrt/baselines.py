@@ -1,8 +1,9 @@
 """Classical comparison tests: t family, Wilcoxon signed-rank and rank-sum, sign test.
 
 These are the comparators for the contamination study.  They stand on
-their own (no dependency on the reweighting machinery); p-values come
-from the regularized incomplete beta function, the normal CDF, and exact
+their own (no dependency on the reweighting machinery) apart from the
+input validation every test in the package shares; p-values come from
+the regularized incomplete beta function, the normal CDF, and exact
 binomial sums.
 """
 
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+from .lqmath import as_sample
 
 __all__ = [
     "ClassicalOutcome",
@@ -73,10 +76,8 @@ def ttest_1samp(x, mu0: float) -> ClassicalOutcome:
     Degenerate zero-variance samples give p = 1 when the mean already
     equals mu0 and p = 0 otherwise.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_sample(x, 2, "x")
     n = x.size
-    if n < 2:
-        raise ValueError("need at least two observations")
     mean = x.mean()
     var = x.var(ddof=1)
     if var == 0.0:
@@ -89,8 +90,8 @@ def ttest_1samp(x, mu0: float) -> ClassicalOutcome:
 
 def ttest_rel(x, y) -> ClassicalOutcome:
     """Paired t-test: one-sample t-test of the differences against 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = as_sample(x, 2, "x")
+    y = as_sample(y, 2, "y")
     if x.shape != y.shape:
         raise ValueError("paired samples must have equal length")
     out = ttest_1samp(x - y, 0.0)
@@ -99,11 +100,9 @@ def ttest_rel(x, y) -> ClassicalOutcome:
 
 def ttest_ind(x, y, equal_var: bool = True) -> ClassicalOutcome:
     """Two-sided unpaired t-test: pooled (Student) or unpooled (Welch)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = as_sample(x, 2, "x")
+    y = as_sample(y, 2, "y")
     n, m = x.size, y.size
-    if n < 2 or m < 2:
-        raise ValueError("need at least two observations per sample")
     method = "t_ind_pooled" if equal_var else "t_ind_welch"
     vx, vy = x.var(ddof=1), y.var(ddof=1)
     diff = x.mean() - y.mean()
@@ -159,11 +158,11 @@ def wilcoxon_signed_rank(x, y=None) -> ClassicalOutcome:
     differences, tie-corrected normal approximation with continuity
     correction beyond.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_sample(x, 0, "x")
     if y is None:
         d = x
     else:
-        y = np.asarray(y, dtype=float)
+        y = as_sample(y, 0, "y")
         if x.shape != y.shape:
             raise ValueError("paired samples must have equal length")
         d = x - y
@@ -191,11 +190,9 @@ def wilcoxon_signed_rank(x, y=None) -> ClassicalOutcome:
 
 def rank_sum(x, y) -> ClassicalOutcome:
     """Wilcoxon rank-sum z-test with mid-ranks, no continuity correction."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = as_sample(x, 1, "x")
+    y = as_sample(y, 1, "y")
     n, m = x.size, y.size
-    if n < 1 or m < 1:
-        raise ValueError("both samples must be non-empty")
     ranks = _midranks(np.concatenate([x, y]))
     w = float(ranks[:n].sum())
     mean = n * (n + m + 1) / 2.0
@@ -210,9 +207,7 @@ def sign_test(x, mu0: float) -> ClassicalOutcome:
     Observations equal to mu0 are discarded; the statistic is the count
     above mu0 centered at its null mean.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size < 1:
-        raise ValueError("need at least one observation")
+    x = as_sample(x, 1, "x")
     above = int(np.count_nonzero(x > mu0))
     below = int(np.count_nonzero(x < mu0))
     n = above + below

@@ -80,17 +80,18 @@ def _eps_arg(text: str) -> list[float]:
     return values
 
 
-def _add_common(sub, with_equal_var=False):
+def _add_report(sub):
+    sub.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+    sub.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
+
+
+def _add_test(sub):
     sub.add_argument("--q", type=_q_arg, default=None,
                      help="distortion parameter in (0, 1], or 'auto' (default)")
     sub.add_argument("--bootstrap", type=_positive_int, default=100,
                      help="number of bootstrap resamples (default 100)")
     sub.add_argument("--seed", type=int, default=None, help="seed for reproducible resampling")
-    sub.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-    sub.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
-    if with_equal_var:
-        sub.add_argument("--no-equal-var", dest="equal_var", action="store_false",
-                         help="drop the shared-variance assumption")
+    _add_report(sub)
 
 
 def parse_args(argv) -> RunConfig:
@@ -103,21 +104,23 @@ def parse_args(argv) -> RunConfig:
     one = subs.add_parser("onesample", help="test the mean of one sample")
     one.add_argument("data", help="input file, one value per line ('-' for stdin)")
     one.add_argument("--mu0", type=float, default=0.0, help="null-hypothesis mean (default 0)")
-    _add_common(one)
+    _add_test(one)
 
     rel = subs.add_parser("paired", help="test equality of means of paired samples")
     rel.add_argument("data", nargs="+", help="two files, or one two-column file with --paired-columns")
     rel.add_argument("--paired-columns", action="store_true",
                      help="read both samples from one comma-separated file")
-    _add_common(rel)
+    _add_test(rel)
 
     ind = subs.add_parser("unpaired", help="test equality of means of independent samples")
     ind.add_argument("data", nargs=2, help="two input files")
-    _add_common(ind, with_equal_var=True)
+    _add_test(ind)
+    ind.add_argument("--no-equal-var", dest="equal_var", action="store_false",
+                     help="drop the shared-variance assumption")
 
     sel = subs.add_parser("selectq", help="report the adaptive q grid search")
     sel.add_argument("data", nargs="+", help="one file (one-sample) or two files (two-sample)")
-    _add_common(sel, with_equal_var=True)
+    _add_report(sel)
 
     sim = subs.add_parser("simulate", help="run the contamination size/power study (CSV output)")
     sim.add_argument("--scenario", default="all", choices=gemsim.SETUPS + ("all",))
@@ -149,11 +152,15 @@ def parse_args(argv) -> RunConfig:
         return cfg
 
     cfg.inputs = [ns.data] if isinstance(ns.data, str) else list(ns.data)
+    cfg.fmt = ns.fmt
+    cfg.output = ns.output
+    if ns.subcommand == "selectq":
+        if len(cfg.inputs) not in (1, 2):
+            parser.error("selectq takes one or two input files")
+        return cfg
     cfg.q = ns.q
     cfg.bootstrap = ns.bootstrap
     cfg.seed = ns.seed
-    cfg.fmt = ns.fmt
-    cfg.output = ns.output
     if ns.subcommand == "onesample":
         cfg.mu0 = ns.mu0
     if ns.subcommand == "paired":
@@ -162,10 +169,8 @@ def parse_args(argv) -> RunConfig:
             parser.error("--paired-columns takes exactly one input file")
         if not cfg.paired_columns and len(cfg.inputs) != 2:
             parser.error("paired needs two input files (or one with --paired-columns)")
-    if ns.subcommand in ("unpaired", "selectq"):
-        cfg.equal_var = getattr(ns, "equal_var", True)
-    if ns.subcommand == "selectq" and len(cfg.inputs) not in (1, 2):
-        parser.error("selectq takes one or two input files")
+    if ns.subcommand == "unpaired":
+        cfg.equal_var = ns.equal_var
     return cfg
 
 
@@ -307,9 +312,7 @@ def run(cfg: RunConfig) -> int:
             if len(cfg.inputs) == 1:
                 report = ratio_test.select_q_1samp(read_sample(cfg.inputs[0]))
             else:
-                report = ratio_test.select_q_ind(
-                    read_sample(cfg.inputs[0]), read_sample(cfg.inputs[1]), cfg.equal_var
-                )
+                report = ratio_test.select_q_ind(read_sample(cfg.inputs[0]), read_sample(cfg.inputs[1]))
             _emit(_selectq_report(report, cfg.fmt), cfg.output)
         elif cfg.subcommand == "simulate":
             _emit(_simulate_report(cfg), cfg.output)

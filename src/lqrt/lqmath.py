@@ -1,9 +1,11 @@
-"""Deformed-logarithm primitives for the normal family.
+"""Deformed-logarithm primitives for the normal family, and input validation.
 
 The distortion parameter ``q`` interpolates between a robust objective
 (q < 1, bounded below) and the plain log-likelihood (q = 1).  Every
-function here is a pure elementwise computation: scalars in, scalar out,
-arrays in, array out.
+function here is elementwise and broadcasts like numpy: scalars in,
+scalar out; a (B, n) data block with (B, 1) parameters gives one row per
+fit.  These are the functions the fitters, the test statistics and q
+selection evaluate.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "as_sample",
     "lq_log",
     "normal_log_pdf",
     "lq_weight",
@@ -18,6 +21,18 @@ __all__ = [
     "lq_score_mu",
     "lq_curvature_mu",
 ]
+
+
+def as_sample(x, min_len: int, name: str = "sample") -> np.ndarray:
+    """Coerce to a 1-D float array of finite values of at least min_len entries."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.size < min_len:
+        raise ValueError(f"{name} must hold at least {min_len} observations, got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains NaN or infinite values")
+    return arr
 
 
 def check_q(q: float) -> float:
@@ -29,7 +44,7 @@ def check_q(q: float) -> float:
 
 
 def _check_sigma2(sigma2):
-    if np.any(np.asarray(sigma2) <= 0.0):
+    if (np.asarray(sigma2) <= 0.0).any():
         raise ValueError("sigma2 must be positive")
 
 
@@ -60,8 +75,8 @@ def normal_log_pdf(x, mu, sigma2):
     return out if out.ndim else float(out)
 
 
-def lq_weight(x, mu, sigma2, q: float):
-    """Per-observation weight f(x|mu,sigma2)^(1-q).
+def lq_weight(x, mu, sigma2, q):
+    """Per-observation weight f(x|mu,sigma2)^(1-q); q may be an array too.
 
     Evaluated through the log density so that extreme outliers keep a
     usable (subnormal) weight where the density itself underflows to 0.
@@ -70,28 +85,31 @@ def lq_weight(x, mu, sigma2, q: float):
     return out if np.ndim(out) else float(out)
 
 
-def lq_likelihood(sample, mu, sigma2, q: float) -> float:
-    """Sum of lq_log(f(x_i|mu,sigma2)) over the sample.
+def lq_likelihood(sample, mu, sigma2, q: float):
+    """Sum of lq_log(f(x_i|mu,sigma2)) over the last axis of the sample.
 
-    Equals the Gaussian log-likelihood at q = 1.
+    A float for a 1-D sample, one sum per row for a (B, n) block.  Equals
+    the Gaussian log-likelihood at q = 1.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.size == 0:
         raise ValueError("lq_likelihood requires a non-empty sample")
     logpdf = normal_log_pdf(sample, mu, sigma2)
     if q == 1.0:
-        return float(np.sum(logpdf))
-    omq = 1.0 - q
-    return float(np.sum(np.expm1(omq * logpdf)) / omq)
-
-
-def lq_score_mu(x, mu, sigma2, q: float):
-    """First mu-derivative of lq_log(f(x|mu,sigma2)): weight times Gaussian score."""
-    out = lq_weight(x, mu, sigma2, q) * (np.asarray(x, dtype=float) - mu) / sigma2
+        out = logpdf.sum(axis=-1)
+    else:
+        omq = 1.0 - q
+        out = np.expm1(omq * logpdf).sum(axis=-1) / omq
     return out if np.ndim(out) else float(out)
 
 
-def lq_curvature_mu(x, mu, sigma2, q: float):
+def lq_score_mu(x, mu, sigma2, q):
+    """First mu-derivative of lq_log(f(x|mu,sigma2)): weight times Gaussian score."""
+    out = lq_weight(x, mu, sigma2, q) * ((np.asarray(x, dtype=float) - mu) / sigma2)
+    return out if np.ndim(out) else float(out)
+
+
+def lq_curvature_mu(x, mu, sigma2, q):
     """Second mu-derivative of lq_log(f(x|mu,sigma2))."""
     x = np.asarray(x, dtype=float)
     z2 = ((x - mu) / sigma2) ** 2

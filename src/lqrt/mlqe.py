@@ -1,25 +1,34 @@
 """Iterative-reweighting maximum Lq-likelihood fitters for the normal family.
 
-Four constrained variants are provided: unconstrained mean/variance,
-variance with a known mean, two samples with a shared variance, and two
-samples with a shared mean.  All follow the same scheme: initialize at
-the MLE, then alternate weight updates w_i = f(x_i|params)^(1-q) with
-weighted parameter updates, flooring the variance so the recursion
-cannot collapse onto a single observation.
+Every fit is one fixed-point map.  Each observation gets the weight
+w_i = f(x_i | mu, sigma2)^(1-q) at the current parameters, and the
+parameters move to the weighted means and weighted variances under those
+weights.  The start is the same update with unit weights, i.e. the
+maximum-likelihood fit.  Variances are floored so the recursion cannot
+collapse onto a single observation.
 
-The public fitters operate on one sample (or one pair); the module also
-exposes batched variants that run many independent fits in lockstep,
-which is what makes the bootstrap loops affordable.  A public fit is the
-batch-of-one case, so both paths share the same numerics.
+The four variants differ only in their constraint: which mean and which
+variance each sample block uses, and whether the mean is pinned.
+
+- `batch_fit_normal`: one block, free mean and variance.
+- `batch_fit_variance_known_mean`: one block, mean pinned.
+- `batch_fit_shared_variance`: two blocks, two means, one variance.
+- `batch_fit_shared_mean`: two blocks, one mean, two variances.
+
+One driver, `_fixed_point`, runs all of them on many independent rows in
+lockstep, which is what makes the bootstrap loops and the q grid
+affordable.  The public fitters operate on one sample (or one pair) as
+the batch-of-one case, so both paths share the same numerics.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lqmath import check_q
+from .lqmath import as_sample, check_q, lq_weight
 
 __all__ = [
     "VARIANCE_FLOOR",
@@ -91,50 +100,115 @@ class SharedMeanFit:
     clipped: bool
 
 
-def as_sample(x, min_len: int, name: str = "sample") -> np.ndarray:
-    """Coerce to a 1-D float array of finite values of at least min_len entries."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size < min_len:
-        raise ValueError(f"{name} must hold at least {min_len} observations, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
-def _omq_column(q, nrows: int):
-    """(1 - q) broadcastable against a (nrows, n) data block."""
+def _q_column(q, nrows: int):
+    """q as a scalar, or one value per row shaped (nrows, 1) against a data block."""
     qa = np.asarray(q, dtype=float)
     if qa.ndim == 0:
-        return 1.0 - float(qa)
+        return float(qa)
     if qa.shape != (nrows,):
         raise ValueError("per-row q must match the number of rows")
-    return (1.0 - qa)[:, None]
+    return qa[:, None]
 
 
-def _log_pdf_block(xs, mu, sigma2):
-    # xs: (B, n); mu, sigma2: (B,) -> (B, n)
-    return (
-        -0.5 * np.log(2.0 * np.pi * sigma2)[:, None]
-        - (xs - mu[:, None]) ** 2 / (2.0 * sigma2)[:, None]
-    )
+def _pooled(nums, dens, group):
+    # sum of nums over the blocks in group / the same sum of dens, in block order
+    num, den = nums[group[0]], dens[group[0]]
+    for k in group[1:]:
+        num, den = num + nums[k], den + dens[k]
+    return num / den
 
 
-class _BatchState:
-    """Bookkeeping shared by all batched fitters: which rows still iterate."""
+def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
+    """Run the reweighting map on every row of the data blocks until each settles.
 
-    def __init__(self, nrows: int):
-        self.iterations = np.zeros(nrows, dtype=np.int64)
-        self.converged = np.zeros(nrows, dtype=bool)
-        self.clipped = np.zeros(nrows, dtype=bool)
-        self.active = np.arange(nrows)
+    Block k (shape (B, n_k)) is modelled as N(mu[mean_of[k]], s2[var_of[k]]);
+    blocks that share an index share that parameter.  With pinned_mu (scalar
+    or per row) the single mean is held there instead of fit.  A row stops
+    when every mean moves less than tol largest standard deviations and every
+    variance less than tol relative, when all weights of a block underflow
+    (the previous iterate is kept and the row counts as clipped), or at
+    max_iter.  Returns (means, variances, iterations, converged, clipped) with
+    means and variances as lists of (B,) arrays.
+    """
+    blocks = [np.asarray(x, dtype=float) for x in blocks]
+    B = blocks[0].shape[0]
+    q_a = _q_column(q, B)
+    per_row_q = np.ndim(q_a) > 0
+    floor, tol = cfg.variance_floor, cfg.tol
+    mean_groups = [[k for k, i in enumerate(mean_of) if i == j] for j in range(max(mean_of) + 1)]
+    var_groups = [[k for k, i in enumerate(var_of) if i == j] for j in range(max(var_of) + 1)]
 
-    def settle(self, step: int, done: np.ndarray, stuck: np.ndarray):
-        idx = self.active
-        self.iterations[idx] = step
-        self.converged[idx[done]] = True
-        self.active = idx[~(done | stuck)]
+    def update(xs, w, sw, mus):
+        # weighted means (unless pinned), then weighted variances about them
+        if pinned_mu is None:
+            sums = [(wk * xk).sum(axis=1) for wk, xk in zip(w, xs)]
+            mus = [_pooled(sums, sw, g) for g in mean_groups]
+        dev = [(wk * (xk - mus[i][:, None]) ** 2).sum(axis=1) for wk, xk, i in zip(w, xs, mean_of)]
+        return mus, [_pooled(dev, sw, g) for g in var_groups]
+
+    # The start is the same update with unit weights: the maximum-likelihood fit.
+    pinned = [] if pinned_mu is None else [
+        np.broadcast_to(np.asarray(pinned_mu, dtype=float), (B,)).astype(float, copy=True)
+    ]
+    means, s2 = update(blocks, [1.0] * len(blocks), [float(x.shape[1]) for x in blocks], pinned)
+    clipped = functools.reduce(np.logical_or, [v < floor for v in s2])
+    s2 = [np.maximum(v, floor) for v in s2]
+    iterations = np.zeros(B, dtype=np.int64)
+    converged = np.zeros(B, dtype=bool)
+
+    # Rows still iterating are kept compact: their ids, data, parameters, q
+    # and clip flags.  A row that finishes is written out and dropped.
+    idx, xa, mu_a, s2_a, clip_a = np.arange(B), blocks, means, s2, clipped.copy()
+    for step in range(1, cfg.max_iter + 1):
+        w = [
+            lq_weight(x, mu_a[i][:, None], s2_a[j][:, None], q_a)
+            for x, i, j in zip(xa, mean_of, var_of)
+        ]
+        sw = [wk.sum(axis=1) for wk in w]
+        stuck = functools.reduce(np.logical_or, [s == 0.0 for s in sw])
+        any_stuck = stuck.any()
+        if any_stuck:
+            for s in sw:
+                s[stuck] = 1.0
+        mu_new, s2_new = update(xa, w, sw, mu_a)
+        clip_a |= functools.reduce(np.logical_or, [v < floor for v in s2_new])
+        s2_new = [np.maximum(v, floor) for v in s2_new]
+        if any_stuck:
+            # all weights of a block underflowed: the row keeps its previous
+            # iterate, counts as clipped and stops unconverged
+            for new, old in zip(mu_new + s2_new, mu_a + s2_a):
+                new[stuck] = old[stuck]
+            clip_a |= stuck
+
+        done = functools.reduce(
+            np.logical_and, [np.abs(new - old) / new < tol for new, old in zip(s2_new, s2_a)]
+        )
+        if pinned_mu is None:
+            scale = np.maximum(np.sqrt(functools.reduce(np.maximum, s2_new)), _MEAN_SCALE_FLOOR)
+            for new, old in zip(mu_new, mu_a):
+                done &= np.abs(new - old) / scale < tol
+        if any_stuck:
+            done &= ~stuck
+
+        finished = done | stuck
+        if step == cfg.max_iter:
+            finished[:] = True
+        if finished.any():
+            rows = idx[finished]
+            for par, new in zip(means + s2, mu_new + s2_new):
+                par[rows] = new[finished]
+            iterations[rows] = step
+            converged[rows] = done[finished]
+            clipped[rows] = clip_a[finished]
+            if finished.all():
+                break
+            left = ~finished
+            idx, xa, clip_a = idx[left], [x[left] for x in xa], clip_a[left]
+            mu_new, s2_new = [m[left] for m in mu_new], [v[left] for v in s2_new]
+            if per_row_q:
+                q_a = q_a[left]
+        mu_a, s2_a = mu_new, s2_new
+    return means, s2, iterations, converged, clipped
 
 
 def batch_fit_normal(xs: np.ndarray, q, cfg: FitConfig = DEFAULT_CONFIG):
@@ -143,187 +217,26 @@ def batch_fit_normal(xs: np.ndarray, q, cfg: FitConfig = DEFAULT_CONFIG):
     q may be a scalar or one value per row.  Returns arrays
     (mu, sigma2, iterations, converged, clipped).
     """
-    xs = np.asarray(xs, dtype=float)
-    B, _ = xs.shape
-    omq = _omq_column(q, B)
-    floor = cfg.variance_floor
-
-    mu = xs.mean(axis=1)
-    sigma2 = np.mean((xs - mu[:, None]) ** 2, axis=1)
-    st = _BatchState(B)
-    st.clipped |= sigma2 < floor
-    sigma2 = np.maximum(sigma2, floor)
-
-    for step in range(1, cfg.max_iter + 1):
-        idx = st.active
-        xa = xs[idx]
-        omq_a = omq if np.ndim(omq) == 0 else omq[idx]
-        w = np.exp(omq_a * _log_pdf_block(xa, mu[idx], sigma2[idx]))
-        sw = w.sum(axis=1)
-        stuck = sw == 0.0  # every weight underflowed; keep the previous iterate
-        sw[stuck] = 1.0
-        mu_new = (w * xa).sum(axis=1) / sw
-        s2_new = (w * (xa - mu_new[:, None]) ** 2).sum(axis=1) / sw
-        clip = s2_new < floor
-        s2_new = np.maximum(s2_new, floor)
-
-        d_mu = np.abs(mu_new - mu[idx]) / np.maximum(np.sqrt(s2_new), _MEAN_SCALE_FLOOR)
-        d_s2 = np.abs(s2_new - sigma2[idx]) / s2_new
-        done = (d_mu < cfg.tol) & (d_s2 < cfg.tol) & ~stuck
-
-        keep = ~stuck
-        mu[idx[keep]] = mu_new[keep]
-        sigma2[idx[keep]] = s2_new[keep]
-        st.clipped[idx] |= clip & keep
-        st.clipped[idx] |= stuck
-        st.settle(step, done, stuck)
-        if st.active.size == 0:
-            break
-    return mu, sigma2, st.iterations, st.converged, st.clipped
+    (mu,), (s2,), *state = _fixed_point((xs,), (0,), (0,), q, cfg)
+    return (mu, s2, *state)
 
 
 def batch_fit_variance_known_mean(xs: np.ndarray, mu0, q, cfg: FitConfig = DEFAULT_CONFIG):
     """Variance-only fit with the mean pinned at mu0 (scalar or per-row)."""
-    xs = np.asarray(xs, dtype=float)
-    B, _ = xs.shape
-    omq = _omq_column(q, B)
-    floor = cfg.variance_floor
-    mu = np.broadcast_to(np.asarray(mu0, dtype=float), (B,)).astype(float, copy=True)
-    dev2 = (xs - mu[:, None]) ** 2
-
-    sigma2 = dev2.mean(axis=1)
-    st = _BatchState(B)
-    st.clipped |= sigma2 < floor
-    sigma2 = np.maximum(sigma2, floor)
-
-    for step in range(1, cfg.max_iter + 1):
-        idx = st.active
-        omq_a = omq if np.ndim(omq) == 0 else omq[idx]
-        w = np.exp(omq_a * _log_pdf_block(xs[idx], mu[idx], sigma2[idx]))
-        sw = w.sum(axis=1)
-        stuck = sw == 0.0
-        sw[stuck] = 1.0
-        s2_new = (w * dev2[idx]).sum(axis=1) / sw
-        clip = s2_new < floor
-        s2_new = np.maximum(s2_new, floor)
-
-        done = (np.abs(s2_new - sigma2[idx]) / s2_new < cfg.tol) & ~stuck
-        keep = ~stuck
-        sigma2[idx[keep]] = s2_new[keep]
-        st.clipped[idx] |= (clip & keep) | stuck
-        st.settle(step, done, stuck)
-        if st.active.size == 0:
-            break
-    return mu, sigma2, st.iterations, st.converged, st.clipped
+    (mu,), (s2,), *state = _fixed_point((xs,), (0,), (0,), q, cfg, pinned_mu=mu0)
+    return (mu, s2, *state)
 
 
 def batch_fit_shared_variance(xs: np.ndarray, ys: np.ndarray, q, cfg: FitConfig = DEFAULT_CONFIG):
     """Two means, one pooled variance, fit rowwise on (B, n) and (B, m) blocks."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    B, n = xs.shape
-    _, m = ys.shape
-    omq = _omq_column(q, B)
-    floor = cfg.variance_floor
-
-    mu_x = xs.mean(axis=1)
-    mu_y = ys.mean(axis=1)
-    sigma2 = (
-        ((xs - mu_x[:, None]) ** 2).sum(axis=1) + ((ys - mu_y[:, None]) ** 2).sum(axis=1)
-    ) / (n + m)
-    st = _BatchState(B)
-    st.clipped |= sigma2 < floor
-    sigma2 = np.maximum(sigma2, floor)
-
-    for step in range(1, cfg.max_iter + 1):
-        idx = st.active
-        xa, ya = xs[idx], ys[idx]
-        omq_a = omq if np.ndim(omq) == 0 else omq[idx]
-        wx = np.exp(omq_a * _log_pdf_block(xa, mu_x[idx], sigma2[idx]))
-        wy = np.exp(omq_a * _log_pdf_block(ya, mu_y[idx], sigma2[idx]))
-        swx = wx.sum(axis=1)
-        swy = wy.sum(axis=1)
-        stuck = (swx == 0.0) | (swy == 0.0)
-        swx[stuck] = 1.0
-        swy[stuck] = 1.0
-        mux_new = (wx * xa).sum(axis=1) / swx
-        muy_new = (wy * ya).sum(axis=1) / swy
-        s2_new = (
-            (wx * (xa - mux_new[:, None]) ** 2).sum(axis=1)
-            + (wy * (ya - muy_new[:, None]) ** 2).sum(axis=1)
-        ) / (swx + swy)
-        clip = s2_new < floor
-        s2_new = np.maximum(s2_new, floor)
-
-        scale = np.maximum(np.sqrt(s2_new), _MEAN_SCALE_FLOOR)
-        done = (
-            (np.abs(mux_new - mu_x[idx]) / scale < cfg.tol)
-            & (np.abs(muy_new - mu_y[idx]) / scale < cfg.tol)
-            & (np.abs(s2_new - sigma2[idx]) / s2_new < cfg.tol)
-            & ~stuck
-        )
-        keep = ~stuck
-        mu_x[idx[keep]] = mux_new[keep]
-        mu_y[idx[keep]] = muy_new[keep]
-        sigma2[idx[keep]] = s2_new[keep]
-        st.clipped[idx] |= (clip & keep) | stuck
-        st.settle(step, done, stuck)
-        if st.active.size == 0:
-            break
-    return mu_x, mu_y, sigma2, st.iterations, st.converged, st.clipped
+    (mu_x, mu_y), (s2,), *state = _fixed_point((xs, ys), (0, 1), (0, 0), q, cfg)
+    return (mu_x, mu_y, s2, *state)
 
 
 def batch_fit_shared_mean(xs: np.ndarray, ys: np.ndarray, q, cfg: FitConfig = DEFAULT_CONFIG):
     """One shared mean, two variances, fit rowwise."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    B, n = xs.shape
-    _, m = ys.shape
-    omq = _omq_column(q, B)
-    floor = cfg.variance_floor
-
-    mu = (xs.sum(axis=1) + ys.sum(axis=1)) / (n + m)
-    s2x = np.mean((xs - mu[:, None]) ** 2, axis=1)
-    s2y = np.mean((ys - mu[:, None]) ** 2, axis=1)
-    st = _BatchState(B)
-    st.clipped |= (s2x < floor) | (s2y < floor)
-    s2x = np.maximum(s2x, floor)
-    s2y = np.maximum(s2y, floor)
-
-    for step in range(1, cfg.max_iter + 1):
-        idx = st.active
-        xa, ya = xs[idx], ys[idx]
-        omq_a = omq if np.ndim(omq) == 0 else omq[idx]
-        wx = np.exp(omq_a * _log_pdf_block(xa, mu[idx], s2x[idx]))
-        wy = np.exp(omq_a * _log_pdf_block(ya, mu[idx], s2y[idx]))
-        swx = wx.sum(axis=1)
-        swy = wy.sum(axis=1)
-        stuck = (swx == 0.0) | (swy == 0.0)
-        swx[stuck] = 1.0
-        swy[stuck] = 1.0
-        mu_new = ((wx * xa).sum(axis=1) + (wy * ya).sum(axis=1)) / (swx + swy)
-        s2x_new = (wx * (xa - mu_new[:, None]) ** 2).sum(axis=1) / swx
-        s2y_new = (wy * (ya - mu_new[:, None]) ** 2).sum(axis=1) / swy
-        clip = (s2x_new < floor) | (s2y_new < floor)
-        s2x_new = np.maximum(s2x_new, floor)
-        s2y_new = np.maximum(s2y_new, floor)
-
-        scale = np.maximum(np.sqrt(np.maximum(s2x_new, s2y_new)), _MEAN_SCALE_FLOOR)
-        done = (
-            (np.abs(mu_new - mu[idx]) / scale < cfg.tol)
-            & (np.abs(s2x_new - s2x[idx]) / s2x_new < cfg.tol)
-            & (np.abs(s2y_new - s2y[idx]) / s2y_new < cfg.tol)
-            & ~stuck
-        )
-        keep = ~stuck
-        mu[idx[keep]] = mu_new[keep]
-        s2x[idx[keep]] = s2x_new[keep]
-        s2y[idx[keep]] = s2y_new[keep]
-        st.clipped[idx] |= (clip & keep) | stuck
-        st.settle(step, done, stuck)
-        if st.active.size == 0:
-            break
-    return mu, s2x, s2y, st.iterations, st.converged, st.clipped
+    (mu,), (s2x, s2y), *state = _fixed_point((xs, ys), (0, 0), (0, 1), q, cfg)
+    return (mu, s2x, s2y, *state)
 
 
 def fit_normal(sample, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> NormalFit:

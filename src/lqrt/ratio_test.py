@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mlqe
-from .lqmath import check_q
-from .mlqe import DEFAULT_CONFIG, FitConfig, as_sample
+from .lqmath import as_sample, check_q, lq_curvature_mu, lq_likelihood, lq_score_mu
+from .mlqe import DEFAULT_CONFIG, FitConfig
 
 __all__ = [
     "TestOutcome",
@@ -70,19 +70,9 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _batch_lq_likelihood(xs, mu, sigma2, q: float):
-    # xs: (B, n); mu, sigma2: (B,) or scalars -> (B,)
-    mu = np.asarray(mu, dtype=float)
-    sigma2 = np.asarray(sigma2, dtype=float)
-    if mu.ndim == 1:
-        mu = mu[:, None]
-    if sigma2.ndim == 1:
-        sigma2 = sigma2[:, None]
-    logpdf = -0.5 * np.log(2.0 * np.pi * sigma2) - (xs - mu) ** 2 / (2.0 * sigma2)
-    if q == 1.0:
-        return logpdf.sum(axis=1)
-    omq = 1.0 - q
-    return np.expm1(omq * logpdf).sum(axis=1) / omq
+def _lik(xs, mu, sigma2, q: float):
+    # one Lq-likelihood per row of xs; mu may be a scalar or (B,), sigma2 is (B,)
+    return lq_likelihood(xs, np.reshape(mu, (-1, 1)), sigma2[:, None], q)
 
 
 def _degenerate(*fits) -> np.ndarray:
@@ -94,41 +84,42 @@ def _degenerate(*fits) -> np.ndarray:
     return bad
 
 
+# Each batch statistic returns (statistic, degenerate, free_means): one value
+# per row, plus each sample's unconstrained-fit mean where the statistic fit
+# one (None for the pooled statistic, which fits no sample on its own).
+
+
 def _batch_statistic_1samp(xs, mu0: float, q: float, cfg: FitConfig):
     mu1, s21, _, conv1, clip1 = mlqe.batch_fit_normal(xs, q, cfg)
     _, s20, _, conv0, clip0 = mlqe.batch_fit_variance_known_mean(xs, mu0, q, cfg)
-    l1 = _batch_lq_likelihood(xs, mu1, s21, q)
-    l0 = _batch_lq_likelihood(xs, mu0, s20, q)
-    d = np.maximum(2.0 * (l1 - l0), 0.0)
-    return d, _degenerate((conv1, clip1), (conv0, clip0))
+    d = np.maximum(2.0 * (_lik(xs, mu1, s21, q) - _lik(xs, mu0, s20, q)), 0.0)
+    return d, _degenerate((conv1, clip1), (conv0, clip0)), (mu1,)
 
 
 def _batch_statistic_ind_equal(xs, ys, q: float, cfg: FitConfig):
     mx, my, s2, _, conv1, clip1 = mlqe.batch_fit_shared_variance(xs, ys, q, cfg)
     pooled = np.concatenate([xs, ys], axis=1)
     mu0, s20, _, conv0, clip0 = mlqe.batch_fit_normal(pooled, q, cfg)
-    l1 = _batch_lq_likelihood(xs, mx, s2, q) + _batch_lq_likelihood(ys, my, s2, q)
-    l0 = _batch_lq_likelihood(pooled, mu0, s20, q)
-    d = np.maximum(2.0 * (l1 - l0), 0.0)
-    return d, _degenerate((conv1, clip1), (conv0, clip0))
+    l1 = _lik(xs, mx, s2, q) + _lik(ys, my, s2, q)
+    d = np.maximum(2.0 * (l1 - _lik(pooled, mu0, s20, q)), 0.0)
+    return d, _degenerate((conv1, clip1), (conv0, clip0)), None
 
 
 def _batch_statistic_ind_unequal(xs, ys, q: float, cfg: FitConfig):
     mx, s2x, _, convx, clipx = mlqe.batch_fit_normal(xs, q, cfg)
     my, s2y, _, convy, clipy = mlqe.batch_fit_normal(ys, q, cfg)
     mu0, s2x0, s2y0, _, conv0, clip0 = mlqe.batch_fit_shared_mean(xs, ys, q, cfg)
-    l1 = _batch_lq_likelihood(xs, mx, s2x, q) + _batch_lq_likelihood(ys, my, s2y, q)
-    l0 = _batch_lq_likelihood(xs, mu0, s2x0, q) + _batch_lq_likelihood(ys, mu0, s2y0, q)
+    l1 = _lik(xs, mx, s2x, q) + _lik(ys, my, s2y, q)
+    l0 = _lik(xs, mu0, s2x0, q) + _lik(ys, mu0, s2y0, q)
     d = np.maximum(2.0 * (l1 - l0), 0.0)
-    return d, _degenerate((convx, clipx), (convy, clipy), (conv0, clip0))
+    return d, _degenerate((convx, clipx), (convy, clipy), (conv0, clip0)), (mx, my)
 
 
 def statistic_1samp(x, mu0: float, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """One-sample ratio statistic for H0: mu = mu0; equals the Gaussian LRT at q = 1."""
     xa = as_sample(x, 2, "x")
     check_q(q)
-    d, _ = _batch_statistic_1samp(xa[None, :], float(mu0), q, cfg)
-    return float(d[0])
+    return float(_batch_statistic_1samp(xa[None, :], float(mu0), q, cfg)[0][0])
 
 
 def statistic_ind_equal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
@@ -136,8 +127,7 @@ def statistic_ind_equal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> 
     xa = as_sample(x, 2, "x")
     ya = as_sample(y, 2, "y")
     check_q(q)
-    d, _ = _batch_statistic_ind_equal(xa[None, :], ya[None, :], q, cfg)
-    return float(d[0])
+    return float(_batch_statistic_ind_equal(xa[None, :], ya[None, :], q, cfg)[0][0])
 
 
 def statistic_ind_unequal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
@@ -145,8 +135,7 @@ def statistic_ind_unequal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -
     xa = as_sample(x, 2, "x")
     ya = as_sample(y, 2, "y")
     check_q(q)
-    d, _ = _batch_statistic_ind_unequal(xa[None, :], ya[None, :], q, cfg)
-    return float(d[0])
+    return float(_batch_statistic_ind_unequal(xa[None, :], ya[None, :], q, cfg)[0][0])
 
 
 def _resample_indices(seed_seq, reps: int, sizes: tuple[int, ...]) -> list[np.ndarray]:
@@ -169,12 +158,56 @@ def _count_pvalue(boot: np.ndarray, observed: float) -> float:
     If the bootstrap distribution is completely tied with the observed
     value (all-constant input is the only practical way there), the
     observed statistic is entirely typical of the null and the p-value is
-    1 by convention.
+    1 by convention.  A non-finite statistic has no rank among the others,
+    so it raises ValueError instead of becoming a p-value.
     """
+    if not np.isfinite(observed):
+        raise ValueError(f"the observed statistic is not finite ({observed}); the fits broke down")
+    bad = np.count_nonzero(~np.isfinite(boot))
+    if bad:
+        raise ValueError(f"{bad} of {boot.size} resampled statistics are not finite; the fits broke down")
     count = int(np.count_nonzero(boot > observed))
     if count == 0 and boot.size and np.all(boot == observed):
         return 1.0
     return count / boot.size
+
+
+def _check_bootstrap(bootstrap) -> int:
+    bootstrap = int(bootstrap)
+    if bootstrap < 1:
+        raise ValueError("bootstrap must be at least 1")
+    return bootstrap
+
+
+def _test_1samp(xa, mu0: float, q: float, bootstrap: int, seed, cfg: FitConfig):
+    """(statistic, pvalue, degenerate_fraction) of the one-sample test.
+
+    The observed fits also give the robust mean the sample is shifted by,
+    so that it sits at mu0 before resampling with replacement.
+    """
+    d, _, (mu1,) = _batch_statistic_1samp(xa[None, :], mu0, q, cfg)
+    shifted = xa - mu1[0] + mu0
+    (idx,) = _resample_indices(_seed_sequence(seed), bootstrap, (xa.size,))
+    boot, degen, _ = _batch_statistic_1samp(shifted[idx], mu0, q, cfg)
+    observed = float(d[0])
+    return observed, _count_pvalue(boot, observed), float(np.count_nonzero(degen)) / bootstrap
+
+
+def _test_ind(xa, ya, q: float, equal_var: bool, bootstrap: int, seed, cfg: FitConfig):
+    """(statistic, pvalue, degenerate_fraction) of the unpaired test.
+
+    Each sample is centred on its own robust mean and resampled
+    independently (x then y within each repetition's substream).
+    """
+    stat_batch = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
+    d, _, free_means = stat_batch(xa[None, :], ya[None, :], q, cfg)
+    if free_means is None:
+        free_means = [mlqe.batch_fit_normal(s[None, :], q, cfg)[0] for s in (xa, ya)]
+    mx, my = free_means
+    idx, idy = _resample_indices(_seed_sequence(seed), bootstrap, (xa.size, ya.size))
+    boot, degen, _ = stat_batch((xa - mx[0])[idx], (ya - my[0])[idy], q, cfg)
+    observed = float(d[0])
+    return observed, _count_pvalue(boot, observed), float(np.count_nonzero(degen)) / bootstrap
 
 
 def pvalue_bootstrap_1samp(
@@ -194,17 +227,8 @@ def pvalue_bootstrap_1samp(
     """
     xa = as_sample(x, 2, "x")
     check_q(q)
-    bootstrap = int(bootstrap)
-    if bootstrap < 1:
-        raise ValueError("bootstrap must be at least 1")
-    mu0 = float(mu0)
-
-    fit = mlqe.fit_normal(xa, q, cfg)
-    shifted = xa - fit.mu + mu0
-    (idx,) = _resample_indices(_seed_sequence(seed), bootstrap, (xa.size,))
-    boot, degen = _batch_statistic_1samp(shifted[idx], mu0, q, cfg)
-    observed = statistic_1samp(xa, mu0, q, cfg)
-    return _count_pvalue(boot, observed), float(np.count_nonzero(degen)) / bootstrap
+    _, pvalue, degenerate = _test_1samp(xa, float(mu0), q, _check_bootstrap(bootstrap), seed, cfg)
+    return pvalue, degenerate
 
 
 def pvalue_bootstrap_ind(
@@ -224,18 +248,8 @@ def pvalue_bootstrap_ind(
     xa = as_sample(x, 2, "x")
     ya = as_sample(y, 2, "y")
     check_q(q)
-    bootstrap = int(bootstrap)
-    if bootstrap < 1:
-        raise ValueError("bootstrap must be at least 1")
-
-    xc = xa - mlqe.fit_normal(xa, q, cfg).mu
-    yc = ya - mlqe.fit_normal(ya, q, cfg).mu
-    idx, idy = _resample_indices(_seed_sequence(seed), bootstrap, (xa.size, ya.size))
-    stat_batch = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
-    boot, degen = stat_batch(xc[idx], yc[idy], q, cfg)
-    stat_one = statistic_ind_equal_var if equal_var else statistic_ind_unequal_var
-    observed = stat_one(xa, ya, q, cfg)
-    return _count_pvalue(boot, observed), float(np.count_nonzero(degen)) / bootstrap
+    _, pvalue, degenerate = _test_ind(xa, ya, q, equal_var, _check_bootstrap(bootstrap), seed, cfg)
+    return pvalue, degenerate
 
 
 def _sandwich_objectives(x: np.ndarray, cfg: FitConfig) -> np.ndarray:
@@ -244,18 +258,9 @@ def _sandwich_objectives(x: np.ndarray, cfg: FitConfig) -> np.ndarray:
     xs = np.broadcast_to(x, (qs.size, x.size))
     mu, s2, _, _, _ = mlqe.batch_fit_normal(xs, qs, cfg)
 
-    omq = (1.0 - qs)[:, None]
-    logpdf = (
-        -0.5 * np.log(2.0 * np.pi * s2)[:, None]
-        - (xs - mu[:, None]) ** 2 / (2.0 * s2)[:, None]
-    )
-    w = np.exp(omq * logpdf)
-    z = (xs - mu[:, None]) / s2[:, None]
-    score = w * z
-    curvature = w * (omq * z**2 - 1.0 / s2[:, None])
-
-    b = np.mean(score**2, axis=1)
-    mean_curv = np.mean(curvature, axis=1)
+    args = (xs, mu[:, None], s2[:, None], qs[:, None])
+    b = np.mean(lq_score_mu(*args) ** 2, axis=1)
+    mean_curv = np.mean(lq_curvature_mu(*args), axis=1)
     objective = np.full(qs.size, np.inf)
     ok = mean_curv != 0.0
     a = 1.0 / mean_curv[ok]
@@ -284,15 +289,13 @@ def select_q_1samp(x, cfg: FitConfig = DEFAULT_CONFIG) -> QSelectionReport:
     )
 
 
-def select_q_ind(x, y, equal_var: bool = True, cfg: FitConfig = DEFAULT_CONFIG) -> QSelectionReport:
+def select_q_ind(x, y, cfg: FitConfig = DEFAULT_CONFIG) -> QSelectionReport:
     """Two-sample q selection: sum of the per-sample sandwich variances.
 
-    Both samples are fit unconstrained regardless of equal_var; the flag
-    is accepted so callers can pass the test configuration through.
+    Both samples are fit unconstrained, whichever variance model the test uses.
     """
     xa = as_sample(x, 3, "x")
     ya = as_sample(y, 3, "y")
-    del equal_var
     objective = _sandwich_objectives(xa, cfg) + _sandwich_objectives(ya, cfg)
     best = _argmin_largest_q(objective)
     return QSelectionReport(
@@ -318,10 +321,10 @@ def lqrtest_1samp(x, u: float, q=None, bootstrap: int = 100, seed=None) -> TestO
     xa = as_sample(x, 3 if q is None else 2, "x")
     if not np.isfinite(u):
         raise ValueError("u must be finite")
+    bootstrap = _check_bootstrap(bootstrap)
     q_used = _resolve_q(q, lambda: select_q_1samp(xa))
-    statistic = statistic_1samp(xa, u, q_used)
-    pvalue, degenerate = pvalue_bootstrap_1samp(xa, u, q_used, bootstrap, seed)
-    return TestOutcome(statistic, pvalue, q_used, int(bootstrap), degenerate)
+    statistic, pvalue, degenerate = _test_1samp(xa, float(u), q_used, bootstrap, seed, DEFAULT_CONFIG)
+    return TestOutcome(statistic, pvalue, q_used, bootstrap, degenerate)
 
 
 def lqrtest_rel(x1, x2, q=None, bootstrap: int = 100, seed=None) -> TestOutcome:
@@ -342,9 +345,9 @@ def lqrtest_ind(x1, x2, equal_var: bool = True, q=None, bootstrap: int = 100, se
     min_len = 3 if q is None else 2
     xa = as_sample(x1, min_len, "x1")
     ya = as_sample(x2, min_len, "x2")
-    equal_var = bool(equal_var)
-    q_used = _resolve_q(q, lambda: select_q_ind(xa, ya, equal_var))
-    stat_one = statistic_ind_equal_var if equal_var else statistic_ind_unequal_var
-    statistic = stat_one(xa, ya, q_used)
-    pvalue, degenerate = pvalue_bootstrap_ind(xa, ya, q_used, equal_var, bootstrap, seed)
-    return TestOutcome(statistic, pvalue, q_used, int(bootstrap), degenerate)
+    bootstrap = _check_bootstrap(bootstrap)
+    q_used = _resolve_q(q, lambda: select_q_ind(xa, ya))
+    statistic, pvalue, degenerate = _test_ind(
+        xa, ya, q_used, bool(equal_var), bootstrap, seed, DEFAULT_CONFIG
+    )
+    return TestOutcome(statistic, pvalue, q_used, bootstrap, degenerate)

@@ -245,3 +245,21 @@ def test_all_pvalues_in_unit_interval():
         ]
         for out in outs:
             assert 0.0 <= out.pvalue <= 1.0
+
+
+@pytest.mark.parametrize("name, call", [
+    ("ttest_1samp", lambda x, y: baselines.ttest_1samp(x, 0.0)),
+    ("ttest_rel", lambda x, y: baselines.ttest_rel(y, x)),
+    ("ttest_ind", lambda x, y: baselines.ttest_ind(y, x, False)),
+    ("wilcoxon_signed_rank", lambda x, y: baselines.wilcoxon_signed_rank(x)),
+    ("rank_sum", lambda x, y: baselines.rank_sum(x, y)),
+    ("sign_test", lambda x, y: baselines.sign_test(x, 0.0)),
+])
+def test_nan_input_rejected(name, call):
+    # these used to return a p-value (or fail inside the incomplete beta)
+    rng = np.random.default_rng(314)
+    x = rng.normal(0.3, 1.0, 50)
+    y = rng.normal(0.0, 1.0, 50)
+    x[7] = np.nan
+    with pytest.raises(ValueError, match=r"^[xy] contains NaN"):
+        call(x, y)

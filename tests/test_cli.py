@@ -53,6 +53,13 @@ class TestParseArgs:
             cli.parse_args(["onesample", sample_files[0], "--frobnicate"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--q", "0.7"], ["--bootstrap", "50"], ["--seed", "1"], ["--no-equal-var"]])
+    def test_selectq_rejects_test_options(self, sample_files, flags):
+        # q selection runs no test, so it takes no test options
+        with pytest.raises(SystemExit) as err:
+            cli.parse_args(["selectq", sample_files[0], *flags])
+        assert err.value.code == 2
+
     def test_bad_bootstrap_exits_2(self, sample_files):
         with pytest.raises(SystemExit) as err:
             cli.parse_args(["onesample", sample_files[0], "--bootstrap", "0"])

@@ -162,3 +162,37 @@ class TestMuDerivatives:
             exact = lqmath.lq_curvature_mu(x, mu, s2, q)
             approx = _fd_curvature(x, mu, s2, q, 1.5e-4 * math.sqrt(s2))
             assert_allclose(approx, exact, rtol=1e-5, atol=1e-7)
+
+
+class TestBroadcastBlocks:
+    """A (B, n) block with (B, 1) parameters equals B row-by-row calls, bit for bit."""
+
+    def _block(self):
+        rng = np.random.default_rng(12)
+        xs = rng.normal(0.0, 3.0, (7, 30))
+        xs[2, 4] = 1e6  # an outlier whose weight underflows
+        mu = rng.normal(0.0, 1.0, (7, 1))
+        s2 = rng.uniform(0.1, 5.0, (7, 1))
+        q = rng.uniform(0.5, 1.0, (7, 1))
+        return xs, mu, s2, q
+
+    @pytest.mark.parametrize("fn", [lqmath.lq_weight, lqmath.lq_score_mu, lqmath.lq_curvature_mu])
+    def test_elementwise_primitives(self, fn):
+        xs, mu, s2, q = self._block()
+        block = fn(xs, mu, s2, q)
+        rows = np.array([fn(xs[b], mu[b, 0], s2[b, 0], q[b, 0]) for b in range(xs.shape[0])])
+        assert block.tobytes() == rows.tobytes()
+
+    def test_normal_log_pdf(self):
+        xs, mu, s2, _ = self._block()
+        block = lqmath.normal_log_pdf(xs, mu, s2)
+        rows = np.array([lqmath.normal_log_pdf(xs[b], mu[b, 0], s2[b, 0]) for b in range(xs.shape[0])])
+        assert block.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("q", [0.6, 1.0])
+    def test_lq_likelihood_sums_each_row(self, q):
+        xs, mu, s2, _ = self._block()
+        block = lqmath.lq_likelihood(xs, mu, s2, q)
+        rows = np.array([lqmath.lq_likelihood(xs[b], mu[b, 0], s2[b, 0], q) for b in range(xs.shape[0])])
+        assert block.shape == (xs.shape[0],)
+        assert block.tobytes() == rows.tobytes()

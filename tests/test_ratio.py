@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lqrt
-from lqrt import lqmath
+from lqrt import lqmath, mlqe, ratio_test
 from lqrt.mlqe import FitConfig
 
 from _oracles import (
@@ -359,3 +359,74 @@ def test_null_calibration_scale_free():
     lo = sps.binom.ppf(0.005, reps, alpha) / reps
     hi = sps.binom.ppf(0.995, reps, alpha) / reps
     assert lo <= rejections / reps <= hi
+
+
+def _readme_sample():
+    rng = np.random.default_rng(314)
+    return np.concatenate([rng.normal(0.3, 1, 45), rng.normal(0.3, np.sqrt(50), 5)])
+
+
+class TestOneFitPerTest:
+    """lqrtest_* equal the standalone pieces, and fit each batch only once."""
+
+    @pytest.mark.parametrize("q", [None, 0.6, 1.0])
+    def test_1samp_matches_standalone_bitwise(self, q):
+        x = _readme_sample()
+        out = lqrt.lqrtest_1samp(x, 0.2, q=q, bootstrap=200, seed=5)
+        p, degenerate = lqrt.pvalue_bootstrap_1samp(x, 0.2, out.q, 200, seed=5)
+        assert out.statistic == lqrt.statistic_1samp(x, 0.2, out.q)
+        assert (out.pvalue, out.degenerate_fraction) == (p, degenerate)
+
+    @pytest.mark.parametrize("q", [None, 0.6, 1.0])
+    @pytest.mark.parametrize("equal_var", [True, False])
+    def test_ind_matches_standalone_bitwise(self, q, equal_var):
+        x = _readme_sample()
+        y = contaminated(np.random.default_rng(77), n=40, n_out=4)
+        out = lqrt.lqrtest_ind(x, y, equal_var=equal_var, q=q, bootstrap=200, seed=6)
+        stat = lqrt.statistic_ind_equal_var if equal_var else lqrt.statistic_ind_unequal_var
+        p, degenerate = lqrt.pvalue_bootstrap_ind(x, y, out.q, equal_var, 200, seed=6)
+        assert out.statistic == stat(x, y, out.q)
+        assert (out.pvalue, out.degenerate_fraction) == (p, degenerate)
+
+    @pytest.mark.parametrize(
+        "kind, want", [("onesample", 5), ("pooled", 8), ("welch", 8)]
+    )
+    def test_batch_fit_calls_per_test(self, monkeypatch, kind, want):
+        # q selection (1 or 2), observed fits, centring fits only where the
+        # observed statistic has no free per-sample fit, bootstrap fits
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("batch_fit_normal", "batch_fit_variance_known_mean",
+                     "batch_fit_shared_variance", "batch_fit_shared_mean"):
+            monkeypatch.setattr(mlqe, name, counted(getattr(mlqe, name)))
+        x = _readme_sample()
+        y = contaminated(np.random.default_rng(78), n=40, n_out=4)
+        if kind == "onesample":
+            lqrt.lqrtest_1samp(x, 0.0, bootstrap=20, seed=1)
+        else:
+            lqrt.lqrtest_ind(x, y, equal_var=kind == "pooled", bootstrap=20, seed=1)
+        assert len(calls) == want
+
+
+class TestNonFiniteStatistic:
+    def test_overflowing_sample_raises_instead_of_pvalue(self):
+        # at 1e200 the fits overflow and the statistic is NaN; it used to
+        # come back as p = 0 because no resample compares above NaN
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            lqrt.lqrtest_1samp(_readme_sample() * 1e200, 0.0, seed=1)
+
+    @pytest.mark.parametrize("observed, boot", [
+        (np.nan, [0.1, 0.2]),
+        (np.inf, [0.1, 0.2]),
+        (0.1, [0.1, np.nan]),
+        (0.1, [-np.inf, 0.2]),
+    ])
+    def test_count_pvalue_rejects_non_finite(self, observed, boot):
+        with pytest.raises(ValueError, match="not finite"):
+            ratio_test._count_pvalue(np.array(boot), observed)
