@@ -256,7 +256,7 @@ def test_all_pvalues_in_unit_interval():
     ("sign_test", lambda x, y: baselines.sign_test(x, 0.0)),
 ])
 def test_nan_input_rejected(name, call):
-    # these used to return a p-value (or fail inside the incomplete beta)
+    # a NaN must be named, not ranked into a p-value or passed to the incomplete beta
     rng = np.random.default_rng(314)
     x = rng.normal(0.3, 1.0, 50)
     y = rng.normal(0.0, 1.0, 50)

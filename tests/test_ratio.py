@@ -416,8 +416,8 @@ class TestOneFitPerTest:
 
 class TestNonFiniteStatistic:
     def test_overflowing_sample_raises_instead_of_pvalue(self):
-        # at 1e200 the fits overflow and the statistic is NaN; it used to
-        # come back as p = 0 because no resample compares above NaN
+        # at 1e200 the fits overflow and the statistic is NaN, which no
+        # resample compares above: it must raise rather than read as p = 0
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             lqrt.lqrtest_1samp(_readme_sample() * 1e200, 0.0, seed=1)
 
