@@ -8,34 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import gemsim, ratio_test
 
-__all__ = ["RunConfig", "parse_args", "read_sample", "read_paired_columns", "run", "main"]
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    inputs: list[str] = field(default_factory=list)
-    mu0: float = 0.0
-    q: Optional[float] = None  # None means adaptive selection
-    bootstrap: int = 100
-    equal_var: bool = True
-    alpha: float = 0.05
-    seed: Optional[int] = None
-    fmt: str = "json"
-    output: Optional[str] = None
-    paired_columns: bool = False
-    scenario: str = "all"
-    tests: Optional[list[str]] = None
-    eps_grid: list[float] = field(default_factory=lambda: list(gemsim.DEFAULT_EPS_GRID))
-    reps: int = 500
-    under_null: bool = False
+__all__ = ["parse_args", "read_sample", "read_paired_columns", "run", "main"]
 
 
 def _fmt(value) -> str:
@@ -80,6 +59,10 @@ def _eps_arg(text: str) -> list[float]:
     return values
 
 
+def _tests_arg(text: str) -> Optional[list[str]]:
+    return [t.strip() for t in text.split(",")] if text else None
+
+
 def _add_report(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     sub.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
@@ -94,7 +77,7 @@ def _add_test(sub):
     _add_report(sub)
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="lqrt",
         description="Robust location tests with bootstrap p-values, plus a contamination study runner.",
@@ -102,31 +85,33 @@ def parse_args(argv) -> RunConfig:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     one = subs.add_parser("onesample", help="test the mean of one sample")
-    one.add_argument("data", help="input file, one value per line ('-' for stdin)")
+    one.add_argument("inputs", nargs=1, metavar="data", help="input file, one value per line ('-' for stdin)")
     one.add_argument("--mu0", type=float, default=0.0, help="null-hypothesis mean (default 0)")
     _add_test(one)
 
     rel = subs.add_parser("paired", help="test equality of means of paired samples")
-    rel.add_argument("data", nargs="+", help="two files, or one two-column file with --paired-columns")
+    rel.add_argument("inputs", nargs="+", metavar="data",
+                     help="two files, or one two-column file with --paired-columns")
     rel.add_argument("--paired-columns", action="store_true",
                      help="read both samples from one comma-separated file")
     _add_test(rel)
 
     ind = subs.add_parser("unpaired", help="test equality of means of independent samples")
-    ind.add_argument("data", nargs=2, help="two input files")
+    ind.add_argument("inputs", nargs=2, metavar="data", help="two input files")
     _add_test(ind)
     ind.add_argument("--no-equal-var", dest="equal_var", action="store_false",
                      help="drop the shared-variance assumption")
 
     sel = subs.add_parser("selectq", help="report the adaptive q grid search")
-    sel.add_argument("data", nargs="+", help="one file (one-sample) or two files (two-sample)")
+    sel.add_argument("inputs", nargs="+", metavar="data",
+                     help="one file (one-sample) or two files (two-sample)")
     _add_report(sel)
 
     sim = subs.add_parser("simulate", help="run the contamination size/power study (CSV output)")
     sim.add_argument("--scenario", default="all", choices=gemsim.SETUPS + ("all",))
-    sim.add_argument("--tests", default=None,
+    sim.add_argument("--tests", type=_tests_arg, default=None,
                      help="comma-separated test identifiers (default: all for the scenario)")
-    sim.add_argument("--eps", type=_eps_arg, default=list(gemsim.DEFAULT_EPS_GRID),
+    sim.add_argument("--eps", type=_eps_arg, default=list(gemsim.DEFAULT_EPS_GRID), dest="eps_grid",
                      help="comma-separated contamination levels in [0, 0.5)")
     sim.add_argument("--reps", type=_positive_int, default=500)
     sim.add_argument("--bootstrap", type=_positive_int, default=200)
@@ -135,43 +120,22 @@ def parse_args(argv) -> RunConfig:
     sim.add_argument("--size", action="store_true", dest="under_null",
                      help="generate under the null means (size) instead of the alternative (power)")
     sim.add_argument("-o", "--output", default=None)
+    sim.set_defaults(fmt="csv")
 
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(subcommand=ns.subcommand)
-    if ns.subcommand == "simulate":
-        cfg.scenario = ns.scenario
-        cfg.tests = [t.strip() for t in ns.tests.split(",")] if ns.tests else None
-        cfg.eps_grid = list(ns.eps)
-        cfg.reps = ns.reps
-        cfg.bootstrap = ns.bootstrap
-        cfg.alpha = ns.alpha
-        cfg.seed = ns.seed
-        cfg.under_null = ns.under_null
-        cfg.fmt = "csv"
-        cfg.output = ns.output
-        return cfg
-
-    cfg.inputs = [ns.data] if isinstance(ns.data, str) else list(ns.data)
-    cfg.fmt = ns.fmt
-    cfg.output = ns.output
-    if ns.subcommand == "selectq":
-        if len(cfg.inputs) not in (1, 2):
-            parser.error("selectq takes one or two input files")
-        return cfg
-    cfg.q = ns.q
-    cfg.bootstrap = ns.bootstrap
-    cfg.seed = ns.seed
-    if ns.subcommand == "onesample":
-        cfg.mu0 = ns.mu0
-    if ns.subcommand == "paired":
-        cfg.paired_columns = ns.paired_columns
-        if cfg.paired_columns and len(cfg.inputs) != 1:
+    args = parser.parse_args(argv)
+    if args.subcommand == "selectq" and len(args.inputs) > 2:
+        parser.error("selectq takes one or two input files")
+    if args.subcommand == "paired":
+        if args.paired_columns and len(args.inputs) != 1:
             parser.error("--paired-columns takes exactly one input file")
-        if not cfg.paired_columns and len(cfg.inputs) != 2:
+        if not args.paired_columns and len(args.inputs) != 2:
             parser.error("paired needs two input files (or one with --paired-columns)")
-    if ns.subcommand == "unpaired":
-        cfg.equal_var = ns.equal_var
-    return cfg
+    if args.subcommand == "simulate" and args.tests is not None:
+        for setup in (gemsim.SETUPS if args.scenario == "all" else (args.scenario,)):
+            for test in args.tests:
+                if test not in gemsim.TESTS_BY_SETUP[setup]:
+                    parser.error(f"test {test!r} is not available for scenario {setup!r}")
+    return args
 
 
 def _lines_from(path: str) -> list[str]:
@@ -260,7 +224,7 @@ def _selectq_report(report: ratio_test.QSelectionReport, fmt: str) -> str:
     return "q,objective\n" + rows
 
 
-def _simulate_report(cfg: RunConfig) -> str:
+def _simulate_report(cfg: argparse.Namespace) -> str:
     scenarios = gemsim.builtin_scenarios()
     if cfg.scenario != "all":
         scenarios = [s for s in scenarios if s.setup == cfg.scenario]
@@ -288,36 +252,30 @@ def _simulate_report(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(cfg: RunConfig) -> int:
+def _report(cfg: argparse.Namespace) -> str:
+    if cfg.subcommand == "simulate":
+        return _simulate_report(cfg)
+    if cfg.subcommand == "paired" and cfg.paired_columns:
+        samples = read_paired_columns(cfg.inputs[0])
+    else:
+        samples = [read_sample(path) for path in cfg.inputs]
+    if cfg.subcommand == "selectq":
+        select = ratio_test.select_q_1samp if len(samples) == 1 else ratio_test.select_q_ind
+        return _selectq_report(select(*samples), cfg.fmt)
+    options = dict(q=cfg.q, bootstrap=cfg.bootstrap, seed=cfg.seed)
+    if cfg.subcommand == "onesample":
+        outcome = ratio_test.lqrtest_1samp(*samples, cfg.mu0, **options)
+    elif cfg.subcommand == "paired":
+        outcome = ratio_test.lqrtest_rel(*samples, **options)
+    else:
+        outcome = ratio_test.lqrtest_ind(*samples, equal_var=cfg.equal_var, **options)
+    return _test_report(outcome, cfg.seed, cfg.fmt)
+
+
+def run(cfg: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit status."""
     try:
-        if cfg.subcommand == "onesample":
-            x = read_sample(cfg.inputs[0])
-            outcome = ratio_test.lqrtest_1samp(x, cfg.mu0, q=cfg.q, bootstrap=cfg.bootstrap, seed=cfg.seed)
-            _emit(_test_report(outcome, cfg.seed, cfg.fmt), cfg.output)
-        elif cfg.subcommand == "paired":
-            if cfg.paired_columns:
-                x1, x2 = read_paired_columns(cfg.inputs[0])
-            else:
-                x1, x2 = read_sample(cfg.inputs[0]), read_sample(cfg.inputs[1])
-            outcome = ratio_test.lqrtest_rel(x1, x2, q=cfg.q, bootstrap=cfg.bootstrap, seed=cfg.seed)
-            _emit(_test_report(outcome, cfg.seed, cfg.fmt), cfg.output)
-        elif cfg.subcommand == "unpaired":
-            x1, x2 = read_sample(cfg.inputs[0]), read_sample(cfg.inputs[1])
-            outcome = ratio_test.lqrtest_ind(
-                x1, x2, equal_var=cfg.equal_var, q=cfg.q, bootstrap=cfg.bootstrap, seed=cfg.seed
-            )
-            _emit(_test_report(outcome, cfg.seed, cfg.fmt), cfg.output)
-        elif cfg.subcommand == "selectq":
-            if len(cfg.inputs) == 1:
-                report = ratio_test.select_q_1samp(read_sample(cfg.inputs[0]))
-            else:
-                report = ratio_test.select_q_ind(read_sample(cfg.inputs[0]), read_sample(cfg.inputs[1]))
-            _emit(_selectq_report(report, cfg.fmt), cfg.output)
-        elif cfg.subcommand == "simulate":
-            _emit(_simulate_report(cfg), cfg.output)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
+        _emit(_report(cfg), cfg.output)
     except (ValueError, OSError) as exc:
         print(f"lqrt: error: {exc}", file=sys.stderr)
         return 1

@@ -172,31 +172,24 @@ def _generate(scenario: ScenarioSpec, eps: float, means, rng: np.random.Generato
 
 
 def _run_test(test: str, setup: str, data, bootstrap: int, boot_seed) -> float:
+    # a paired test is the one-sample test of the differences against 0
+    if setup == "paired":
+        data = (data[0] - data[1],)
+    equal_var = setup == "unpaired_equal_var"
     if test == "lqrt":
-        if setup == "one_sample":
+        if len(data) == 1:
             return ratio_test.lqrtest_1samp(data[0], 0.0, bootstrap=bootstrap, seed=boot_seed).pvalue
-        if setup == "paired":
-            return ratio_test.lqrtest_rel(data[0], data[1], bootstrap=bootstrap, seed=boot_seed).pvalue
-        equal = setup == "unpaired_equal_var"
-        return ratio_test.lqrtest_ind(
-            data[0], data[1], equal_var=equal, bootstrap=bootstrap, seed=boot_seed
-        ).pvalue
+        return ratio_test.lqrtest_ind(*data, equal_var=equal_var, bootstrap=bootstrap, seed=boot_seed).pvalue
     if test == "t":
-        if setup == "one_sample":
+        if len(data) == 1:
             return baselines.ttest_1samp(data[0], 0.0).pvalue
-        if setup == "paired":
-            return baselines.ttest_rel(data[0], data[1]).pvalue
-        return baselines.ttest_ind(data[0], data[1], equal_var=setup == "unpaired_equal_var").pvalue
+        return baselines.ttest_ind(*data, equal_var=equal_var).pvalue
     if test == "wilcoxon":
-        if setup == "one_sample":
-            return baselines.wilcoxon_signed_rank(data[0]).pvalue
-        return baselines.wilcoxon_signed_rank(data[0], data[1]).pvalue
+        return baselines.wilcoxon_signed_rank(data[0]).pvalue
     if test == "sign":
-        if setup == "one_sample":
-            return baselines.sign_test(data[0], 0.0).pvalue
-        return baselines.sign_test(data[0] - data[1], 0.0).pvalue
+        return baselines.sign_test(data[0], 0.0).pvalue
     if test == "ranksum":
-        return baselines.rank_sum(data[0], data[1]).pvalue
+        return baselines.rank_sum(*data).pvalue
     raise ValueError(f"unknown test identifier {test!r}")
 
 
@@ -222,6 +215,9 @@ def run_scenario(
         raise ValueError("alpha must lie in (0, 1)")
     if test not in TESTS_BY_SETUP[scenario.setup]:
         raise ValueError(f"test {test!r} is not available for setup {scenario.setup!r}")
+    eps_grid = [float(eps) for eps in eps_grid]
+    if not all(0.0 <= eps < 0.5 for eps in eps_grid):
+        raise ValueError("every eps must lie in [0, 0.5)")
     if seed is None:
         seed = int(np.random.SeedSequence().entropy)
     means = scenario.means_null if under_null else scenario.means_alt
@@ -231,7 +227,7 @@ def run_scenario(
         rejections = 0
         for r in range(reps):
             data_ss, boot_ss = np.random.SeedSequence(seed, spawn_key=(e, r)).spawn(2)
-            data = _generate(scenario, float(eps), means, np.random.default_rng(data_ss))
+            data = _generate(scenario, eps, means, np.random.default_rng(data_ss))
             pvalue = _run_test(test, scenario.setup, data, bootstrap, boot_ss)
             rejections += pvalue <= alpha
         rate = rejections / reps
@@ -243,7 +239,7 @@ def run_scenario(
                 ci_high=rate + half,
                 repetitions=reps,
                 alpha=alpha,
-                epsilon=float(eps),
+                epsilon=eps,
                 test_name=test,
                 seed=seed,
             )

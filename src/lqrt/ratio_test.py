@@ -10,6 +10,7 @@ over a grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -179,35 +180,33 @@ def _check_bootstrap(bootstrap) -> int:
     return bootstrap
 
 
-def _test_1samp(xa, mu0: float, q: float, bootstrap: int, seed, cfg: FitConfig):
-    """(statistic, pvalue, degenerate_fraction) of the one-sample test.
+def _test(samples, targets, statistic, q: float, bootstrap: int, seed, cfg: FitConfig):
+    """(statistic, pvalue, degenerate_fraction) of a test on `samples`.
 
-    The observed fits also give the robust mean the sample is shifted by,
-    so that it sits at mu0 before resampling with replacement.
+    `statistic(*blocks, q=q, cfg=cfg)` is a batch statistic of one (B, n)
+    block per sample.  Its observed fits also give each sample's robust
+    mean; the sample is centred on it, shifted to its target where the null
+    names one (None where it does not), and resampled with replacement, the
+    samples in order within each repetition's substream.  The pooled
+    statistic fits no sample on its own, so its samples are fit here.
     """
-    d, _, (mu1,) = _batch_statistic_1samp(xa[None, :], mu0, q, cfg)
-    shifted = xa - mu1[0] + mu0
-    (idx,) = _resample_indices(_seed_sequence(seed), bootstrap, (xa.size,))
-    boot, degen, _ = _batch_statistic_1samp(shifted[idx], mu0, q, cfg)
+    d, _, means = statistic(*(s[None, :] for s in samples), q=q, cfg=cfg)
+    if means is None:
+        means = [mlqe.batch_fit_normal(s[None, :], q, cfg)[0] for s in samples]
+    centred = [s - m[0] if t is None else s - m[0] + t for s, m, t in zip(samples, means, targets)]
+    idx = _resample_indices(_seed_sequence(seed), bootstrap, tuple(s.size for s in samples))
+    boot, degen, _ = statistic(*(c[i] for c, i in zip(centred, idx)), q=q, cfg=cfg)
     observed = float(d[0])
     return observed, _count_pvalue(boot, observed), float(np.count_nonzero(degen)) / bootstrap
+
+
+def _test_1samp(xa, mu0: float, q: float, bootstrap: int, seed, cfg: FitConfig):
+    return _test((xa,), (mu0,), partial(_batch_statistic_1samp, mu0=mu0), q, bootstrap, seed, cfg)
 
 
 def _test_ind(xa, ya, q: float, equal_var: bool, bootstrap: int, seed, cfg: FitConfig):
-    """(statistic, pvalue, degenerate_fraction) of the unpaired test.
-
-    Each sample is centred on its own robust mean and resampled
-    independently (x then y within each repetition's substream).
-    """
     stat_batch = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
-    d, _, free_means = stat_batch(xa[None, :], ya[None, :], q, cfg)
-    if free_means is None:
-        free_means = [mlqe.batch_fit_normal(s[None, :], q, cfg)[0] for s in (xa, ya)]
-    mx, my = free_means
-    idx, idy = _resample_indices(_seed_sequence(seed), bootstrap, (xa.size, ya.size))
-    boot, degen, _ = stat_batch((xa - mx[0])[idx], (ya - my[0])[idy], q, cfg)
-    observed = float(d[0])
-    return observed, _count_pvalue(boot, observed), float(np.count_nonzero(degen)) / bootstrap
+    return _test((xa, ya), (None, None), stat_batch, q, bootstrap, seed, cfg)
 
 
 def pvalue_bootstrap_1samp(
@@ -277,16 +276,19 @@ def _argmin_largest_q(objective: np.ndarray) -> int:
     return best
 
 
-def select_q_1samp(x, cfg: FitConfig = DEFAULT_CONFIG) -> QSelectionReport:
-    """Pick q on the grid by minimizing the sandwich variance of the mean."""
-    xa = as_sample(x, 3, "x")
-    objective = _sandwich_objectives(xa, cfg)
+def _select_q(samples, cfg: FitConfig) -> QSelectionReport:
+    objective = sum(_sandwich_objectives(s, cfg) for s in samples)
     best = _argmin_largest_q(objective)
     return QSelectionReport(
         q_hat=Q_GRID[best],
         grid=list(zip(Q_GRID, objective.tolist())),
         objective=float(objective[best]),
     )
+
+
+def select_q_1samp(x, cfg: FitConfig = DEFAULT_CONFIG) -> QSelectionReport:
+    """Pick q on the grid by minimizing the sandwich variance of the mean."""
+    return _select_q((as_sample(x, 3, "x"),), cfg)
 
 
 def select_q_ind(x, y, cfg: FitConfig = DEFAULT_CONFIG) -> QSelectionReport:
@@ -294,15 +296,7 @@ def select_q_ind(x, y, cfg: FitConfig = DEFAULT_CONFIG) -> QSelectionReport:
 
     Both samples are fit unconstrained, whichever variance model the test uses.
     """
-    xa = as_sample(x, 3, "x")
-    ya = as_sample(y, 3, "y")
-    objective = _sandwich_objectives(xa, cfg) + _sandwich_objectives(ya, cfg)
-    best = _argmin_largest_q(objective)
-    return QSelectionReport(
-        q_hat=Q_GRID[best],
-        grid=list(zip(Q_GRID, objective.tolist())),
-        objective=float(objective[best]),
-    )
+    return _select_q((as_sample(x, 3, "x"), as_sample(y, 3, "y")), cfg)
 
 
 def _resolve_q(q, selector) -> float:
@@ -329,8 +323,9 @@ def lqrtest_1samp(x, u: float, q=None, bootstrap: int = 100, seed=None) -> TestO
 
 def lqrtest_rel(x1, x2, q=None, bootstrap: int = 100, seed=None) -> TestOutcome:
     """Paired two-sample test: one-sample test of the differences against 0."""
-    a = np.asarray(x1, dtype=float)
-    b = np.asarray(x2, dtype=float)
+    min_len = 3 if q is None else 2
+    a = as_sample(x1, min_len, "x1")
+    b = as_sample(x2, min_len, "x2")
     if a.shape != b.shape:
         raise ValueError("paired samples must have equal length")
     return lqrtest_1samp(a - b, 0.0, q=q, bootstrap=bootstrap, seed=seed)

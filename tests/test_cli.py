@@ -76,6 +76,17 @@ class TestParseArgs:
         assert cfg.under_null is True
         assert cfg.fmt == "csv"
 
+    @pytest.mark.parametrize("argv, setup", [
+        (["--tests", "sign"], "unpaired_equal_var"),  # fine for the first two set-ups only
+        (["--tests", "foo"], "one_sample"),
+        (["--scenario", "paired", "--tests", "t,ranksum"], "paired"),
+    ])
+    def test_simulate_unknown_test_exits_2(self, argv, setup, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.parse_args(["simulate", *argv])
+        assert err.value.code == 2
+        assert repr(setup) in capsys.readouterr().err
+
 
 class TestReadSample:
     def test_plain_values(self, tmp_path):

@@ -137,6 +137,15 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             gemsim.run_scenario(sc, "t", eps_grid=[0.7], reps=1, seed=0)
 
+    def test_eps_grid_checked_before_any_replicate(self, monkeypatch):
+        def generate(*args):
+            raise AssertionError("data generated before the grid was checked")
+
+        monkeypatch.setattr(gemsim, "_generate", generate)
+        sc = gemsim.builtin_scenarios()[0]
+        with pytest.raises(ValueError, match="eps"):
+            gemsim.run_scenario(sc, "t", eps_grid=[0.0, 0.7], reps=3, seed=0)
+
     def test_t_test_size_calibrated_clean(self):
         # classical calibration anchor: exact binomial 99% band around alpha
         sc = gemsim.builtin_scenarios()[0]

@@ -290,6 +290,15 @@ class TestLqrtestRel:
         with pytest.raises(ValueError):
             lqrt.lqrtest_rel([1.0, 2.0, 3.0], [1.0, 2.0])
 
+    def test_non_finite_input_named(self):
+        x = np.arange(10.0)
+        y = x.copy()
+        y[3] = np.nan
+        with pytest.raises(ValueError, match="x2 contains NaN"):
+            lqrt.lqrtest_rel(x, y)
+        with pytest.raises(ValueError, match="x1 contains NaN"):
+            lqrt.lqrtest_rel(y, x)
+
 
 class TestLqrtestInd:
     def test_null_not_rejected_both_flags(self):
