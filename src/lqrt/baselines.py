@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .lqmath import as_sample
+from .lqmath import as_sample, check_finite
 
 __all__ = [
     "ClassicalOutcome",
@@ -77,6 +77,7 @@ def ttest_1samp(x, mu0: float) -> ClassicalOutcome:
     equals mu0 and p = 0 otherwise.
     """
     x = as_sample(x, 2, "x")
+    mu0 = check_finite(mu0, "mu0")
     n = x.size
     mean = x.mean()
     var = x.var(ddof=1)
@@ -208,6 +209,7 @@ def sign_test(x, mu0: float) -> ClassicalOutcome:
     above mu0 centered at its null mean.
     """
     x = as_sample(x, 1, "x")
+    mu0 = check_finite(mu0, "mu0")
     above = int(np.count_nonzero(x > mu0))
     below = int(np.count_nonzero(x < mu0))
     n = above + below

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import baselines, ratio_test
+from .lqmath import check_count
 
 __all__ = [
     "GrossErrorSpec",
@@ -77,8 +78,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.setup not in SETUPS:
             raise ValueError(f"unknown setup {self.setup!r}")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        object.__setattr__(self, "n", check_count(self.n, "n", minimum=2))
 
 
 @dataclass(frozen=True)
@@ -95,32 +95,31 @@ class PowerEstimate:
     seed: int
 
 
+def _draw(spec: GrossErrorSpec, n: int, rng: np.random.Generator, k: int) -> list[np.ndarray]:
+    # n contamination indicators, then k vectors of n standard normals that share them
+    n = check_count(n, "n")
+    outlier = rng.random(n) < spec.eps
+    sd = np.where(outlier, math.sqrt(spec.tau2), math.sqrt(spec.sigma2))
+    return [spec.mu + sd * rng.standard_normal(n) for _ in range(k)]
+
+
 def sample_gem(spec: GrossErrorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n observations from the mixture.
 
     Consumes the stream in a fixed order: n contamination indicators,
     then n standard normals.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    outlier = rng.random(n) < spec.eps
-    sd = np.where(outlier, math.sqrt(spec.tau2), math.sqrt(spec.sigma2))
-    return spec.mu + sd * rng.standard_normal(n)
+    return _draw(spec, n, rng, 1)[0]
 
 
 def sample_gem_paired(spec: GrossErrorSpec, n: int, rng: np.random.Generator):
     """Draw n pairs sharing one contamination indicator per pair.
 
     Either both members of a pair are inliers or both are outliers.  Both
-    are centered at spec.mu; shift afterwards for unequal means.
+    are centered at spec.mu; shift afterwards for unequal means.  Consumes
+    n indicators, then n standard normals for x, then n for y.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    outlier = rng.random(n) < spec.eps
-    sd = np.where(outlier, math.sqrt(spec.tau2), math.sqrt(spec.sigma2))
-    x = spec.mu + sd * rng.standard_normal(n)
-    y = spec.mu + sd * rng.standard_normal(n)
-    return x, y
+    return tuple(_draw(spec, n, rng, 2))
 
 
 def builtin_scenarios() -> list[ScenarioSpec]:
@@ -209,8 +208,8 @@ def run_scenario(
     under_null=True generates from the null means (size).  A repetition
     rejects when its p-value is at or below alpha.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    reps = check_count(reps, "reps")
+    bootstrap = check_count(bootstrap, "bootstrap")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if test not in TESTS_BY_SETUP[scenario.setup]:

@@ -14,6 +14,8 @@ import numpy as np
 
 __all__ = [
     "as_sample",
+    "check_finite",
+    "check_count",
     "lq_log",
     "normal_log_pdf",
     "lq_weight",
@@ -41,6 +43,20 @@ def check_q(q: float) -> float:
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must satisfy 0 < q <= 1, got {q!r}")
     return q
+
+
+def check_finite(value, name: str) -> float:
+    """Validate a null value such as mu0: a finite number, returned as a float."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return float(value)
+
+
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """Validate a count such as bootstrap, reps or n: a whole number of at least minimum."""
+    if not float(value).is_integer() or value < minimum:
+        raise ValueError(f"{name} must be a whole number of at least {minimum}, got {value}")
+    return int(value)
 
 
 def _check_sigma2(sigma2):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lqmath import as_sample, check_q, lq_weight
+from .lqmath import as_sample, check_count, check_finite, check_q, lq_weight
 
 __all__ = [
     "VARIANCE_FLOOR",
@@ -53,19 +53,15 @@ _MEAN_SCALE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Convergence control: relative tolerance, iteration cap, variance floor."""
+    """Convergence control: relative tolerance and iteration cap."""
 
     tol: float = 1e-8
     max_iter: int = 500
-    variance_floor: float = VARIANCE_FLOOR
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not self.variance_floor > 0.0:
-            raise ValueError("variance_floor must be positive")
+        object.__setattr__(self, "max_iter", check_count(self.max_iter, "max_iter"))
 
 
 DEFAULT_CONFIG = FitConfig()
@@ -134,7 +130,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
     B = blocks[0].shape[0]
     q_a = _q_column(q, B)
     per_row_q = np.ndim(q_a) > 0
-    floor, tol = cfg.variance_floor, cfg.tol
+    floor, tol = VARIANCE_FLOOR, cfg.tol
     mean_groups = [[k for k, i in enumerate(mean_of) if i == j] for j in range(max(mean_of) + 1)]
     var_groups = [[k for k, i in enumerate(var_of) if i == j] for j in range(max(var_of) + 1)]
 
@@ -239,6 +235,12 @@ def batch_fit_shared_mean(xs: np.ndarray, ys: np.ndarray, q, cfg: FitConfig = DE
     return (mu, s2x, s2y, *state)
 
 
+def _one_row(result_type, batch, samples, *args, cfg: FitConfig):
+    """Fit one sample (or pair) as a batch of one row and unpack row 0 into result_type."""
+    *params, it, conv, clip = batch(*(s[None, :] for s in samples), *args, cfg)
+    return result_type(*(float(p[0]) for p in params), int(it[0]), bool(conv[0]), bool(clip[0]))
+
+
 def fit_normal(sample, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> NormalFit:
     """Fit mean and variance by iterative reweighting.
 
@@ -248,42 +250,26 @@ def fit_normal(sample, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> NormalFit:
     last iterate is returned with converged=False rather than raising,
     so resampling loops survive rare degenerate inputs.
     """
-    x = as_sample(sample, 2)
-    check_q(q)
-    mu, s2, it, conv, clip = batch_fit_normal(x[None, :], q, cfg)
-    return NormalFit(float(mu[0]), float(s2[0]), int(it[0]), bool(conv[0]), bool(clip[0]))
+    return _one_row(NormalFit, batch_fit_normal, (as_sample(sample, 2),), check_q(q), cfg=cfg)
 
 
 def fit_variance_known_mean(sample, mu: float, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> NormalFit:
     """Fit the variance only; the returned mu is exactly the argument."""
     x = as_sample(sample, 1)
-    if not np.isfinite(mu):
-        raise ValueError("mu must be finite")
-    check_q(q)
-    muv, s2, it, conv, clip = batch_fit_variance_known_mean(x[None, :], float(mu), q, cfg)
-    return NormalFit(float(muv[0]), float(s2[0]), int(it[0]), bool(conv[0]), bool(clip[0]))
+    mu = check_finite(mu, "mu")
+    return _one_row(NormalFit, batch_fit_variance_known_mean, (x,), mu, check_q(q), cfg=cfg)
 
 
 def fit_shared_variance(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> SharedVarianceFit:
     """Fit separate means for x and y with one pooled variance."""
-    xa = as_sample(x, 2, "x")
-    ya = as_sample(y, 2, "y")
-    check_q(q)
-    mx, my, s2, it, conv, clip = batch_fit_shared_variance(xa[None, :], ya[None, :], q, cfg)
-    return SharedVarianceFit(
-        float(mx[0]), float(my[0]), float(s2[0]), int(it[0]), bool(conv[0]), bool(clip[0])
-    )
+    samples = (as_sample(x, 2, "x"), as_sample(y, 2, "y"))
+    return _one_row(SharedVarianceFit, batch_fit_shared_variance, samples, check_q(q), cfg=cfg)
 
 
 def fit_shared_mean(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> SharedMeanFit:
     """Fit one shared mean with separate variances for x and y."""
-    xa = as_sample(x, 2, "x")
-    ya = as_sample(y, 2, "y")
-    check_q(q)
-    mu, s2x, s2y, it, conv, clip = batch_fit_shared_mean(xa[None, :], ya[None, :], q, cfg)
-    return SharedMeanFit(
-        float(mu[0]), float(s2x[0]), float(s2y[0]), int(it[0]), bool(conv[0]), bool(clip[0])
-    )
+    samples = (as_sample(x, 2, "x"), as_sample(y, 2, "y"))
+    return _one_row(SharedMeanFit, batch_fit_shared_mean, samples, check_q(q), cfg=cfg)
 
 
 def variance_bias_correction(sigma2: float, q: float) -> float:

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import mlqe
-from .lqmath import as_sample, check_q, lq_curvature_mu, lq_likelihood, lq_score_mu
+from .lqmath import as_sample, check_count, check_finite, check_q, lq_curvature_mu, lq_likelihood, lq_score_mu
 from .mlqe import DEFAULT_CONFIG, FitConfig
 
 __all__ = [
@@ -116,27 +116,29 @@ def _batch_statistic_ind_unequal(xs, ys, q: float, cfg: FitConfig):
     return d, _degenerate((convx, clipx), (convy, clipy), (conv0, clip0)), (mx, my)
 
 
+def _observed(statistic, samples, q: float, cfg: FitConfig):
+    """The batch statistic on the samples themselves, and its free-fit means."""
+    d, _, means = statistic(*(s[None, :] for s in samples), q=q, cfg=cfg)
+    return float(d[0]), means
+
+
 def statistic_1samp(x, mu0: float, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """One-sample ratio statistic for H0: mu = mu0; equals the Gaussian LRT at q = 1."""
     xa = as_sample(x, 2, "x")
-    check_q(q)
-    return float(_batch_statistic_1samp(xa[None, :], float(mu0), q, cfg)[0][0])
+    mu0 = check_finite(mu0, "mu0")
+    return _observed(partial(_batch_statistic_1samp, mu0=mu0), (xa,), check_q(q), cfg)[0]
 
 
 def statistic_ind_equal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """Two-sample ratio statistic under a shared-variance alternative."""
-    xa = as_sample(x, 2, "x")
-    ya = as_sample(y, 2, "y")
-    check_q(q)
-    return float(_batch_statistic_ind_equal(xa[None, :], ya[None, :], q, cfg)[0][0])
+    samples = (as_sample(x, 2, "x"), as_sample(y, 2, "y"))
+    return _observed(_batch_statistic_ind_equal, samples, check_q(q), cfg)[0]
 
 
 def statistic_ind_unequal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """Two-sample ratio statistic with free per-sample variances."""
-    xa = as_sample(x, 2, "x")
-    ya = as_sample(y, 2, "y")
-    check_q(q)
-    return float(_batch_statistic_ind_unequal(xa[None, :], ya[None, :], q, cfg)[0][0])
+    samples = (as_sample(x, 2, "x"), as_sample(y, 2, "y"))
+    return _observed(_batch_statistic_ind_unequal, samples, check_q(q), cfg)[0]
 
 
 def _resample_indices(seed_seq, reps: int, sizes: tuple[int, ...]) -> list[np.ndarray]:
@@ -173,40 +175,27 @@ def _count_pvalue(boot: np.ndarray, observed: float) -> float:
     return count / boot.size
 
 
-def _check_bootstrap(bootstrap) -> int:
-    bootstrap = int(bootstrap)
-    if bootstrap < 1:
-        raise ValueError("bootstrap must be at least 1")
-    return bootstrap
-
-
-def _test(samples, targets, statistic, q: float, bootstrap: int, seed, cfg: FitConfig):
-    """(statistic, pvalue, degenerate_fraction) of a test on `samples`.
+def _test(samples, targets, statistic, select, q, bootstrap: int, seed, cfg: FitConfig) -> TestOutcome:
+    """The TestOutcome of a test on `samples`; every test result is made here.
 
     `statistic(*blocks, q=q, cfg=cfg)` is a batch statistic of one (B, n)
-    block per sample.  Its observed fits also give each sample's robust
-    mean; the sample is centred on it, shifted to its target where the null
-    names one (None where it does not), and resampled with replacement, the
-    samples in order within each repetition's substream.  The pooled
-    statistic fits no sample on its own, so its samples are fit here.
+    block per sample.  With q None, q is `select(*samples, cfg=cfg).q_hat`.
+    The observed fits also give each sample's robust mean; the sample is
+    centred on it, shifted to its target where the null names one (None
+    where it does not), and resampled with replacement, the samples in
+    order within each repetition's substream.  The pooled statistic fits no
+    sample on its own, so its samples are fit here.
     """
-    d, _, means = statistic(*(s[None, :] for s in samples), q=q, cfg=cfg)
+    bootstrap = check_count(bootstrap, "bootstrap")
+    q = select(*samples, cfg=cfg).q_hat if q is None else check_q(q)
+    observed, means = _observed(statistic, samples, q, cfg)
     if means is None:
         means = [mlqe.batch_fit_normal(s[None, :], q, cfg)[0] for s in samples]
     centred = [s - m[0] if t is None else s - m[0] + t for s, m, t in zip(samples, means, targets)]
     idx = _resample_indices(_seed_sequence(seed), bootstrap, tuple(s.size for s in samples))
     boot, degen, _ = statistic(*(c[i] for c, i in zip(centred, idx)), q=q, cfg=cfg)
-    observed = float(d[0])
-    return observed, _count_pvalue(boot, observed), float(np.count_nonzero(degen)) / bootstrap
-
-
-def _test_1samp(xa, mu0: float, q: float, bootstrap: int, seed, cfg: FitConfig):
-    return _test((xa,), (mu0,), partial(_batch_statistic_1samp, mu0=mu0), q, bootstrap, seed, cfg)
-
-
-def _test_ind(xa, ya, q: float, equal_var: bool, bootstrap: int, seed, cfg: FitConfig):
-    stat_batch = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
-    return _test((xa, ya), (None, None), stat_batch, q, bootstrap, seed, cfg)
+    degenerate = float(np.count_nonzero(degen)) / bootstrap
+    return TestOutcome(observed, _count_pvalue(boot, observed), q, bootstrap, degenerate)
 
 
 def pvalue_bootstrap_1samp(
@@ -225,9 +214,10 @@ def pvalue_bootstrap_1samp(
     degenerate_fraction).
     """
     xa = as_sample(x, 2, "x")
-    check_q(q)
-    _, pvalue, degenerate = _test_1samp(xa, float(mu0), q, _check_bootstrap(bootstrap), seed, cfg)
-    return pvalue, degenerate
+    mu0 = check_finite(mu0, "mu0")
+    statistic = partial(_batch_statistic_1samp, mu0=mu0)
+    out = _test((xa,), (mu0,), statistic, select_q_1samp, q, bootstrap, seed, cfg)
+    return out.pvalue, out.degenerate_fraction
 
 
 def pvalue_bootstrap_ind(
@@ -244,11 +234,10 @@ def pvalue_bootstrap_ind(
     Each sample is centered on its own robust mean and resampled
     independently (x then y within each repetition's substream).
     """
-    xa = as_sample(x, 2, "x")
-    ya = as_sample(y, 2, "y")
-    check_q(q)
-    _, pvalue, degenerate = _test_ind(xa, ya, q, equal_var, _check_bootstrap(bootstrap), seed, cfg)
-    return pvalue, degenerate
+    samples = (as_sample(x, 2, "x"), as_sample(y, 2, "y"))
+    statistic = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
+    out = _test(samples, (None, None), statistic, select_q_ind, q, bootstrap, seed, cfg)
+    return out.pvalue, out.degenerate_fraction
 
 
 def _sandwich_objectives(x: np.ndarray, cfg: FitConfig) -> np.ndarray:
@@ -299,12 +288,6 @@ def select_q_ind(x, y, cfg: FitConfig = DEFAULT_CONFIG) -> QSelectionReport:
     return _select_q((as_sample(x, 3, "x"), as_sample(y, 3, "y")), cfg)
 
 
-def _resolve_q(q, selector) -> float:
-    if q is None:
-        return selector().q_hat
-    return check_q(q)
-
-
 def lqrtest_1samp(x, u: float, q=None, bootstrap: int = 100, seed=None) -> TestOutcome:
     """Test H0: mu = u against a two-sided alternative on one sample.
 
@@ -313,12 +296,9 @@ def lqrtest_1samp(x, u: float, q=None, bootstrap: int = 100, seed=None) -> TestO
     does not depend on `bootstrap`; only the p-value resolution does.
     """
     xa = as_sample(x, 3 if q is None else 2, "x")
-    if not np.isfinite(u):
-        raise ValueError("u must be finite")
-    bootstrap = _check_bootstrap(bootstrap)
-    q_used = _resolve_q(q, lambda: select_q_1samp(xa))
-    statistic, pvalue, degenerate = _test_1samp(xa, float(u), q_used, bootstrap, seed, DEFAULT_CONFIG)
-    return TestOutcome(statistic, pvalue, q_used, bootstrap, degenerate)
+    u = check_finite(u, "u")
+    statistic = partial(_batch_statistic_1samp, mu0=u)
+    return _test((xa,), (u,), statistic, select_q_1samp, q, bootstrap, seed, DEFAULT_CONFIG)
 
 
 def lqrtest_rel(x1, x2, q=None, bootstrap: int = 100, seed=None) -> TestOutcome:
@@ -338,11 +318,6 @@ def lqrtest_ind(x1, x2, equal_var: bool = True, q=None, bootstrap: int = 100, se
     leaves the variances free (Welch-like).
     """
     min_len = 3 if q is None else 2
-    xa = as_sample(x1, min_len, "x1")
-    ya = as_sample(x2, min_len, "x2")
-    bootstrap = _check_bootstrap(bootstrap)
-    q_used = _resolve_q(q, lambda: select_q_ind(xa, ya))
-    statistic, pvalue, degenerate = _test_ind(
-        xa, ya, q_used, bool(equal_var), bootstrap, seed, DEFAULT_CONFIG
-    )
-    return TestOutcome(statistic, pvalue, q_used, bootstrap, degenerate)
+    samples = (as_sample(x1, min_len, "x1"), as_sample(x2, min_len, "x2"))
+    statistic = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
+    return _test(samples, (None, None), statistic, select_q_ind, q, bootstrap, seed, DEFAULT_CONFIG)

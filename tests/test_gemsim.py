@@ -71,8 +71,30 @@ class TestSampleGem:
         b = gemsim.sample_gem(spec, 1000, np.random.default_rng(99))
         assert np.array_equal(a, b)
 
+    def test_stream_order(self):
+        # n indicators, then n standard normals, and nothing more
+        spec = gemsim.GrossErrorSpec(0.5, 2.0, 50.0, 0.3)
+        rng = np.random.default_rng(17)
+        sd = np.where(rng.random(200) < 0.3, math.sqrt(50.0), math.sqrt(2.0))
+        want = 0.5 + sd * rng.standard_normal(200)
+        got_rng = np.random.default_rng(17)
+        assert gemsim.sample_gem(spec, 200, got_rng).tobytes() == want.tobytes()
+        assert got_rng.random() == rng.random()
+
 
 class TestSampleGemPaired:
+    def test_stream_order(self):
+        # n shared indicators, then n standard normals for x, then n for y
+        spec = gemsim.GrossErrorSpec(0.5, 2.0, 50.0, 0.3)
+        rng = np.random.default_rng(18)
+        sd = np.where(rng.random(200) < 0.3, math.sqrt(50.0), math.sqrt(2.0))
+        want_x = 0.5 + sd * rng.standard_normal(200)
+        want_y = 0.5 + sd * rng.standard_normal(200)
+        got_rng = np.random.default_rng(18)
+        x, y = gemsim.sample_gem_paired(spec, 200, got_rng)
+        assert (x.tobytes(), y.tobytes()) == (want_x.tobytes(), want_y.tobytes())
+        assert got_rng.random() == rng.random()
+
     def test_eps_zero_is_clean(self):
         spec = gemsim.GrossErrorSpec(0.0, 1.0, 50.0, 0.0)
         x, y = gemsim.sample_gem_paired(spec, 50_000, np.random.default_rng(74))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lqrt import lqmath
+import lqrt
+from lqrt import gemsim, lqmath
 
 # Frozen with 40-digit arithmetic.
 LQ_LOG_2_HALF = 0.8284271247461901  # 2*(sqrt(2)-1)
@@ -196,3 +197,76 @@ class TestBroadcastBlocks:
         rows = np.array([lqmath.lq_likelihood(xs[b], mu[b, 0], s2[b, 0], q) for b in range(xs.shape[0])])
         assert block.shape == (xs.shape[0],)
         assert block.tobytes() == rows.tobytes()
+
+
+class TestArgumentChecks:
+    """Null values and counts are checked the same way in every entry point."""
+
+    _X = np.random.default_rng(3).normal(0.3, 1.0, 20)
+    _SPEC = gemsim.GrossErrorSpec(0.0, 1.0, 50.0, 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name, call", [
+        pytest.param("u", lambda x, v: lqrt.lqrtest_1samp(x, v, q=0.7, bootstrap=10, seed=1),
+                     id="lqrtest_1samp"),
+        pytest.param("mu0", lambda x, v: lqrt.statistic_1samp(x, v, 0.7), id="statistic_1samp"),
+        pytest.param("mu0", lambda x, v: lqrt.pvalue_bootstrap_1samp(x, v, 0.7, 10, seed=1),
+                     id="pvalue_bootstrap_1samp"),
+        pytest.param("mu", lambda x, v: lqrt.fit_variance_known_mean(x, v, 0.7),
+                     id="fit_variance_known_mean"),
+        pytest.param("mu0", lambda x, v: lqrt.ttest_1samp(x, v), id="ttest_1samp"),
+        pytest.param("mu0", lambda x, v: lqrt.sign_test(x, v), id="sign_test"),
+    ])
+    def test_null_value_must_be_finite(self, name, call, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            call(self._X, bad)
+
+    @pytest.mark.parametrize("name, call", [
+        pytest.param("bootstrap", lambda x, k: lqrt.lqrtest_1samp(x, 0.0, q=0.7, bootstrap=k, seed=1),
+                     id="lqrtest_1samp"),
+        pytest.param("bootstrap", lambda x, k: lqrt.lqrtest_ind(x, x + 1.0, q=0.7, bootstrap=k, seed=1),
+                     id="lqrtest_ind"),
+        pytest.param("bootstrap", lambda x, k: lqrt.pvalue_bootstrap_1samp(x, 0.0, 0.7, k, seed=1),
+                     id="pvalue_bootstrap_1samp"),
+        pytest.param("bootstrap", lambda x, k: lqrt.pvalue_bootstrap_ind(x, x, 0.7, True, k, seed=1),
+                     id="pvalue_bootstrap_ind"),
+        pytest.param("reps", lambda x, k: gemsim.run_scenario(
+            gemsim.builtin_scenarios()[0], "t", eps_grid=[0.0], reps=k, seed=0), id="run_scenario"),
+        pytest.param("bootstrap", lambda x, k: gemsim.run_scenario(
+            gemsim.builtin_scenarios()[0], "t", eps_grid=[0.0], reps=1, bootstrap=k, seed=0),
+            id="run_scenario_bootstrap"),
+        pytest.param("n", lambda x, k: gemsim.ScenarioSpec(
+            "one_sample", (0.0,), (0.3,), (1.0, None, 50.0), n=k), id="ScenarioSpec"),
+        pytest.param("n", lambda x, k: gemsim.sample_gem(
+            TestArgumentChecks._SPEC, k, np.random.default_rng(0)), id="sample_gem"),
+        pytest.param("n", lambda x, k: gemsim.sample_gem_paired(
+            TestArgumentChecks._SPEC, k, np.random.default_rng(0)), id="sample_gem_paired"),
+        pytest.param("max_iter", lambda x, k: lqrt.FitConfig(max_iter=k), id="FitConfig"),
+    ])
+    @pytest.mark.parametrize("bad", [2.5, 0, np.nan])
+    def test_count_must_be_whole_and_positive(self, name, call, bad):
+        # a fractional count used to be truncated (bootstrap=2.5 ran 2 resamples)
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
+            call(self._X, bad)
+
+    def test_whole_counts_of_any_type_accepted(self):
+        want = lqrt.lqrtest_1samp(self._X, 0.0, q=0.7, bootstrap=1000, seed=1)
+        for k in (1000.0, np.int64(1000), np.float64(1000.0)):
+            out = lqrt.lqrtest_1samp(self._X, 0.0, q=0.7, bootstrap=k, seed=1)
+            assert out == want and type(out.bootstrap) is int
+        sc = gemsim.builtin_scenarios()[0]
+        runs = [gemsim.run_scenario(sc, "t", eps_grid=[0.1], reps=k, seed=4) for k in (3, 3.0, np.int64(3))]
+        assert runs[0] == runs[1] == runs[2] and runs[1][0].repetitions == 3
+        assert gemsim.sample_gem(self._SPEC, 5.0, np.random.default_rng(0)).size == 5
+        spec = gemsim.ScenarioSpec("one_sample", (0.0,), (0.3,), (1.0, None, 50.0), n=np.int64(30))
+        assert type(spec.n) is int
+        cfg = lqrt.FitConfig(max_iter=500.0)
+        assert type(cfg.max_iter) is int and cfg == lqrt.DEFAULT_CONFIG
+        assert lqrt.fit_normal(self._X, 0.7, cfg) == lqrt.fit_normal(self._X, 0.7)
+
+    def test_check_helpers_return_plain_numbers(self):
+        assert lqmath.check_finite(np.float64(0.25), "mu0") == 0.25
+        assert type(lqmath.check_finite(np.int64(2), "mu0")) is float
+        assert lqmath.check_count(np.float64(7.0), "n", minimum=2) == 7
+        with pytest.raises(ValueError, match=r"^n must be a whole number of at least 2, got 1$"):
+            lqmath.check_count(1, "n", minimum=2)
