@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .lqmath import as_sample, check_finite
 
@@ -49,6 +48,10 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         raise ValueError("a and b must be positive")
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
+    # imported here, not at start-up: scipy takes longer to load than the
+    # rest of the package, and only the t-tests need it
+    from scipy import special
+
     return float(special.betainc(a, b, x))
 
 

@@ -11,6 +11,7 @@ on evaluation order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -44,6 +45,12 @@ TESTS_BY_SETUP = {
 
 # Default contamination grid; the mixture model requires eps < 0.5.
 DEFAULT_EPS_GRID = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
+
+# Largest block, in float64 elements, that one stacked lqrt call may build:
+# replicates x max(bootstrap, q-grid rows) x the row width of all samples.
+# run_scenario stacks as many whole replicates as fit, at least one, so its
+# memory does not grow with reps.
+STACK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -170,19 +177,18 @@ def _generate(scenario: ScenarioSpec, eps: float, means, rng: np.random.Generato
     return x, y
 
 
-def _run_test(test: str, setup: str, data, bootstrap: int, boot_seed) -> float:
+def _test_data(setup: str, data):
     # a paired test is the one-sample test of the differences against 0
-    if setup == "paired":
-        data = (data[0] - data[1],)
-    equal_var = setup == "unpaired_equal_var"
-    if test == "lqrt":
-        if len(data) == 1:
-            return ratio_test.lqrtest_1samp(data[0], 0.0, bootstrap=bootstrap, seed=boot_seed).pvalue
-        return ratio_test.lqrtest_ind(*data, equal_var=equal_var, bootstrap=bootstrap, seed=boot_seed).pvalue
+    return (data[0] - data[1],) if setup == "paired" else data
+
+
+def _run_test(test: str, setup: str, data) -> float:
+    # one classical test on one replicate
+    data = _test_data(setup, data)
     if test == "t":
         if len(data) == 1:
             return baselines.ttest_1samp(data[0], 0.0).pvalue
-        return baselines.ttest_ind(*data, equal_var=equal_var).pvalue
+        return baselines.ttest_ind(*data, equal_var=setup == "unpaired_equal_var").pvalue
     if test == "wilcoxon":
         return baselines.wilcoxon_signed_rank(data[0]).pvalue
     if test == "sign":
@@ -190,6 +196,13 @@ def _run_test(test: str, setup: str, data, bootstrap: int, boot_seed) -> float:
     if test == "ranksum":
         return baselines.rank_sum(*data).pvalue
     raise ValueError(f"unknown test identifier {test!r}")
+
+
+def _lqrt_pvalues(setup: str, datasets, seeds, bootstrap: int) -> list[float]:
+    # the lqrt p-values of equal-size datasets, stacked into one test call
+    samples = tuple(np.stack(s) for s in zip(*(_test_data(setup, d) for d in datasets)))
+    outcomes = ratio_test._stacked_lqrtest(samples, setup == "unpaired_equal_var", bootstrap, seeds)
+    return [out.pvalue for out in outcomes]
 
 
 def run_scenario(
@@ -214,6 +227,8 @@ def run_scenario(
         raise ValueError("alpha must lie in (0, 1)")
     if test not in TESTS_BY_SETUP[scenario.setup]:
         raise ValueError(f"test {test!r} is not available for setup {scenario.setup!r}")
+    if test == "lqrt":
+        check_count(scenario.n, "n", minimum=3)  # adaptive q needs three observations
     eps_grid = [float(eps) for eps in eps_grid]
     if not all(0.0 <= eps < 0.5 for eps in eps_grid):
         raise ValueError("every eps must lie in [0, 0.5)")
@@ -221,15 +236,30 @@ def run_scenario(
         seed = int(np.random.SeedSequence().entropy)
     means = scenario.means_null if under_null else scenario.means_alt
 
+    def replicates():
+        # (eps index, data, resampling seed) of every repetition, in (eps, rep) order
+        for e, eps in enumerate(eps_grid):
+            for r in range(reps):
+                data_ss, boot_ss = np.random.SeedSequence(seed, spawn_key=(e, r)).spawn(2)
+                yield e, _generate(scenario, eps, means, np.random.default_rng(data_ss)), boot_ss
+
+    rejections = [0] * len(eps_grid)
+    if test == "lqrt":
+        # whole replicates per stacked call, so its largest block stays within STACK_ELEMENTS
+        width = scenario.n * (1 if scenario.setup in ("one_sample", "paired") else 2)
+        per_call = max(1, STACK_ELEMENTS // (max(bootstrap, len(ratio_test.Q_GRID)) * width))
+        todo = replicates()
+        while chunk := list(itertools.islice(todo, per_call)):
+            es, datasets, seeds = zip(*chunk)
+            for e, pvalue in zip(es, _lqrt_pvalues(scenario.setup, datasets, seeds, bootstrap)):
+                rejections[e] += pvalue <= alpha
+    else:
+        for e, data, _ in replicates():
+            rejections[e] += _run_test(test, scenario.setup, data) <= alpha
+
     estimates = []
-    for e, eps in enumerate(eps_grid):
-        rejections = 0
-        for r in range(reps):
-            data_ss, boot_ss = np.random.SeedSequence(seed, spawn_key=(e, r)).spawn(2)
-            data = _generate(scenario, eps, means, np.random.default_rng(data_ss))
-            pvalue = _run_test(test, scenario.setup, data, bootstrap, boot_ss)
-            rejections += pvalue <= alpha
-        rate = rejections / reps
+    for eps, hits in zip(eps_grid, rejections):
+        rate = hits / reps
         half = 1.96 * math.sqrt(rate * (1.0 - rate) / reps)
         estimates.append(
             PowerEstimate(

@@ -83,11 +83,20 @@ def lq_log(u, q: float):
     return out if out.ndim else float(out)
 
 
+def _log_pdf(x, mu, sigma2):
+    # normal_log_pdf without the sigma2 check, for callers that floor sigma2
+    return -0.5 * np.log(2.0 * np.pi * sigma2) - (np.asarray(x, dtype=float) - mu) ** 2 / (2.0 * sigma2)
+
+
+def _weight(x, mu, sigma2, q):
+    # lq_weight without the sigma2 check: the fixed-point driver's per-iteration kernel
+    return np.exp((1.0 - q) * _log_pdf(x, mu, sigma2))
+
+
 def normal_log_pdf(x, mu, sigma2):
     """Log density of N(mu, sigma2) at x."""
     _check_sigma2(sigma2)
-    x = np.asarray(x, dtype=float)
-    out = -0.5 * np.log(2.0 * np.pi * sigma2) - (x - mu) ** 2 / (2.0 * sigma2)
+    out = _log_pdf(x, mu, sigma2)
     return out if out.ndim else float(out)
 
 
@@ -97,25 +106,39 @@ def lq_weight(x, mu, sigma2, q):
     Evaluated through the log density so that extreme outliers keep a
     usable (subnormal) weight where the density itself underflows to 0.
     """
-    out = np.exp((1.0 - q) * normal_log_pdf(x, mu, sigma2))
+    _check_sigma2(sigma2)
+    out = _weight(x, mu, sigma2, q)
     return out if np.ndim(out) else float(out)
 
 
-def lq_likelihood(sample, mu, sigma2, q: float):
+def _lq_sum(logpdf, q: float):
+    # sum of lq_log over the last axis, given the log densities
+    if q == 1.0:
+        return logpdf.sum(axis=-1)
+    omq = 1.0 - q
+    return np.expm1(omq * logpdf).sum(axis=-1) / omq
+
+
+def lq_likelihood(sample, mu, sigma2, q):
     """Sum of lq_log(f(x_i|mu,sigma2)) over the last axis of the sample.
 
     A float for a 1-D sample, one sum per row for a (B, n) block.  Equals
-    the Gaussian log-likelihood at q = 1.
+    the Gaussian log-likelihood at q = 1.  q is a scalar, or a (B, 1)
+    column giving each row its own q; a row's sum is then the one the
+    scalar would give, bit for bit (the log form where q == 1).
     """
     sample = np.asarray(sample, dtype=float)
     if sample.size == 0:
         raise ValueError("lq_likelihood requires a non-empty sample")
     logpdf = normal_log_pdf(sample, mu, sigma2)
-    if q == 1.0:
-        out = logpdf.sum(axis=-1)
+    if np.ndim(q) == 0:
+        out = _lq_sum(logpdf, q)
     else:
-        omq = 1.0 - q
-        out = np.expm1(omq * logpdf).sum(axis=-1) / omq
+        q = np.asarray(q, dtype=float)[:, 0]
+        out = np.empty(logpdf.shape[0])
+        for value in np.unique(q):
+            rows = q == value
+            out[rows] = _lq_sum(logpdf[rows], float(value))
     return out if np.ndim(out) else float(out)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lqmath import as_sample, check_count, check_finite, check_q, lq_weight
+from .lqmath import _weight, as_sample, check_count, check_finite, check_q
 
 __all__ = [
     "VARIANCE_FLOOR",
@@ -156,10 +156,8 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
     # and clip flags.  A row that finishes is written out and dropped.
     idx, xa, mu_a, s2_a, clip_a = np.arange(B), blocks, means, s2, clipped.copy()
     for step in range(1, cfg.max_iter + 1):
-        w = [
-            lq_weight(x, mu_a[i][:, None], s2_a[j][:, None], q_a)
-            for x, i, j in zip(xa, mean_of, var_of)
-        ]
+        # the floor keeps every variance positive, so the weights skip lq_weight's check
+        w = [_weight(x, mu_a[i][:, None], s2_a[j][:, None], q_a) for x, i, j in zip(xa, mean_of, var_of)]
         sw = [wk.sum(axis=1) for wk in w]
         stuck = functools.reduce(np.logical_or, [s == 0.0 for s in sw])
         any_stuck = stuck.any()
@@ -167,6 +165,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
             for s in sw:
                 s[stuck] = 1.0
         mu_new, s2_new = update(xa, w, sw, mu_a)
+        del w  # as large as the data; free it before the next weights are built
         clip_a |= functools.reduce(np.logical_or, [v < floor for v in s2_new])
         s2_new = [np.maximum(v, floor) for v in s2_new]
         if any_stuck:

@@ -10,7 +10,6 @@ over a grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -71,9 +70,9 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _lik(xs, mu, sigma2, q: float):
-    # one Lq-likelihood per row of xs; mu may be a scalar or (B,), sigma2 is (B,)
-    return lq_likelihood(xs, np.reshape(mu, (-1, 1)), sigma2[:, None], q)
+def _lik(xs, mu, sigma2, q):
+    # one Lq-likelihood per row of xs; mu and q may be scalars or (B,), sigma2 is (B,)
+    return lq_likelihood(xs, np.reshape(mu, (-1, 1)), sigma2[:, None], np.reshape(q, (-1, 1)) if np.ndim(q) else q)
 
 
 def _degenerate(*fits) -> np.ndarray:
@@ -85,19 +84,24 @@ def _degenerate(*fits) -> np.ndarray:
     return bad
 
 
-# Each batch statistic returns (statistic, degenerate, free_means): one value
-# per row, plus each sample's unconstrained-fit mean where the statistic fit
-# one (None for the pooled statistic, which fits no sample on its own).
+# Each batch statistic takes one (B, n_k) block per sample, the null's
+# targets (per sample, None or the null mean: a scalar or one per row), q (a
+# scalar or one per row) and the FitConfig.  It returns (statistic,
+# degenerate, free_means): one value per row, plus each sample's
+# unconstrained-fit mean where the statistic fit one (None for the pooled
+# statistic, which fits no sample on its own).
 
 
-def _batch_statistic_1samp(xs, mu0: float, q: float, cfg: FitConfig):
+def _batch_statistic_1samp(blocks, targets, q, cfg: FitConfig):
+    (xs,), (mu0,) = blocks, targets
     mu1, s21, _, conv1, clip1 = mlqe.batch_fit_normal(xs, q, cfg)
     _, s20, _, conv0, clip0 = mlqe.batch_fit_variance_known_mean(xs, mu0, q, cfg)
     d = np.maximum(2.0 * (_lik(xs, mu1, s21, q) - _lik(xs, mu0, s20, q)), 0.0)
     return d, _degenerate((conv1, clip1), (conv0, clip0)), (mu1,)
 
 
-def _batch_statistic_ind_equal(xs, ys, q: float, cfg: FitConfig):
+def _batch_statistic_ind_equal(blocks, targets, q, cfg: FitConfig):
+    xs, ys = blocks
     mx, my, s2, _, conv1, clip1 = mlqe.batch_fit_shared_variance(xs, ys, q, cfg)
     pooled = np.concatenate([xs, ys], axis=1)
     mu0, s20, _, conv0, clip0 = mlqe.batch_fit_normal(pooled, q, cfg)
@@ -106,7 +110,8 @@ def _batch_statistic_ind_equal(xs, ys, q: float, cfg: FitConfig):
     return d, _degenerate((conv1, clip1), (conv0, clip0)), None
 
 
-def _batch_statistic_ind_unequal(xs, ys, q: float, cfg: FitConfig):
+def _batch_statistic_ind_unequal(blocks, targets, q, cfg: FitConfig):
+    xs, ys = blocks
     mx, s2x, _, convx, clipx = mlqe.batch_fit_normal(xs, q, cfg)
     my, s2y, _, convy, clipy = mlqe.batch_fit_normal(ys, q, cfg)
     mu0, s2x0, s2y0, _, conv0, clip0 = mlqe.batch_fit_shared_mean(xs, ys, q, cfg)
@@ -116,43 +121,59 @@ def _batch_statistic_ind_unequal(xs, ys, q: float, cfg: FitConfig):
     return d, _degenerate((convx, clipx), (convy, clipy), (conv0, clip0)), (mx, my)
 
 
-def _observed(statistic, samples, q: float, cfg: FitConfig):
-    """The batch statistic on the samples themselves, and its free-fit means."""
-    d, _, means = statistic(*(s[None, :] for s in samples), q=q, cfg=cfg)
-    return float(d[0]), means
+def _ind_statistic(equal_var: bool):
+    return _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
+
+
+def _stack(*samples) -> tuple:
+    # each 1-D sample as a stack of one dataset
+    return tuple(s[None, :] for s in samples)
 
 
 def statistic_1samp(x, mu0: float, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """One-sample ratio statistic for H0: mu = mu0; equals the Gaussian LRT at q = 1."""
-    xa = as_sample(x, 2, "x")
+    samples = _stack(as_sample(x, 2, "x"))
     mu0 = check_finite(mu0, "mu0")
-    return _observed(partial(_batch_statistic_1samp, mu0=mu0), (xa,), check_q(q), cfg)[0]
+    return float(_batch_statistic_1samp(samples, (mu0,), check_q(q), cfg)[0][0])
 
 
 def statistic_ind_equal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """Two-sample ratio statistic under a shared-variance alternative."""
-    samples = (as_sample(x, 2, "x"), as_sample(y, 2, "y"))
-    return _observed(_batch_statistic_ind_equal, samples, check_q(q), cfg)[0]
+    samples = _stack(as_sample(x, 2, "x"), as_sample(y, 2, "y"))
+    return float(_batch_statistic_ind_equal(samples, (None, None), check_q(q), cfg)[0][0])
 
 
 def statistic_ind_unequal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """Two-sample ratio statistic with free per-sample variances."""
-    samples = (as_sample(x, 2, "x"), as_sample(y, 2, "y"))
-    return _observed(_batch_statistic_ind_unequal, samples, check_q(q), cfg)[0]
+    samples = _stack(as_sample(x, 2, "x"), as_sample(y, 2, "y"))
+    return float(_batch_statistic_ind_unequal(samples, (None, None), check_q(q), cfg)[0][0])
 
 
-def _resample_indices(seed_seq, reps: int, sizes: tuple[int, ...]) -> list[np.ndarray]:
-    """Index blocks for `reps` resamples, one independent substream per rep.
+def _resample_indices(seeds, reps: int, sizes: tuple[int, ...]) -> list[np.ndarray]:
+    """Flat index blocks for `reps` resamples of each of len(seeds) stacked datasets.
 
+    Rows r*reps to (r+1)*reps - 1 resample dataset r, each from its own
+    substream of seeds[r]; an entry indexes the flattened (R, n) sample.
     The substreams depend only on (seed, repetition index), so the
-    resulting resamples do not depend on evaluation order.
+    resamples do not depend on evaluation order or on the other datasets.
     """
-    blocks = [np.empty((reps, n), dtype=np.intp) for n in sizes]
-    for b, child in enumerate(seed_seq.spawn(reps)):
+    blocks = [np.empty((len(seeds) * reps, n), dtype=np.intp) for n in sizes]
+    children = (child for seed in seeds for child in _seed_sequence(seed).spawn(reps))
+    for b, child in enumerate(children):
         rng = np.random.default_rng(child)
         for block, n in zip(blocks, sizes):
             block[b] = rng.integers(0, n, size=n)
+    for block, n in zip(blocks, sizes):
+        block += np.repeat(np.arange(len(seeds)) * n, reps)[:, None]
     return blocks
+
+
+def _per_row(q: np.ndarray, times: int):
+    """Each dataset's q repeated for its `times` rows, or one float when all share it.
+
+    Both give the same bits; the float takes the fits' faster scalar-q path.
+    """
+    return float(q[0]) if (q == q[0]).all() else np.repeat(q, times)
 
 
 def _count_pvalue(boot: np.ndarray, observed: float) -> float:
@@ -175,27 +196,56 @@ def _count_pvalue(boot: np.ndarray, observed: float) -> float:
     return count / boot.size
 
 
-def _test(samples, targets, statistic, select, q, bootstrap: int, seed, cfg: FitConfig) -> TestOutcome:
-    """The TestOutcome of a test on `samples`; every test result is made here.
+def _test(samples, targets, statistic, q, bootstrap: int, seeds, cfg: FitConfig) -> list[TestOutcome]:
+    """The TestOutcomes of R datasets tested together; every test result is made here.
 
-    `statistic(*blocks, q=q, cfg=cfg)` is a batch statistic of one (B, n)
-    block per sample.  With q None, q is `select(*samples, cfg=cfg).q_hat`.
-    The observed fits also give each sample's robust mean; the sample is
-    centred on it, shifted to its target where the null names one (None
-    where it does not), and resampled with replacement, the samples in
-    order within each repetition's substream.  The pooled statistic fits no
-    sample on its own, so its samples are fit here.
+    `samples` holds one (R, n_k) block per sample, row r of each being
+    dataset r; `targets` holds per sample None or the (R,) null means, and
+    `seeds` the R seeds.  `statistic(blocks, targets, q, cfg)` is a batch
+    statistic.  With q None, each dataset gets its own q from one stacked
+    run of the grid.  The observed fits also give each sample's robust
+    mean; the sample is centred on it, shifted to its target where the null
+    names one, and resampled with replacement, the samples in order within
+    each repetition's substream.  The pooled statistic fits no sample on
+    its own, so its samples are fit here.  Every phase is one batch over
+    all datasets, with per-row q, and outcome r equals that of dataset r
+    tested alone, bit for bit.
     """
     bootstrap = check_count(bootstrap, "bootstrap")
-    q = select(*samples, cfg=cfg).q_hat if q is None else check_q(q)
-    observed, means = _observed(statistic, samples, q, cfg)
+    if q is None:
+        q = np.array([Q_GRID[_argmin_largest_q(row)] for row in _grid_objectives(samples, cfg)])
+    else:
+        q = np.full(len(seeds), check_q(q))
+    q_rows = _per_row(q, 1)
+    observed, _, means = statistic(samples, targets, q_rows, cfg)
     if means is None:
-        means = [mlqe.batch_fit_normal(s[None, :], q, cfg)[0] for s in samples]
-    centred = [s - m[0] if t is None else s - m[0] + t for s, m, t in zip(samples, means, targets)]
-    idx = _resample_indices(_seed_sequence(seed), bootstrap, tuple(s.size for s in samples))
-    boot, degen, _ = statistic(*(c[i] for c, i in zip(centred, idx)), q=q, cfg=cfg)
-    degenerate = float(np.count_nonzero(degen)) / bootstrap
-    return TestOutcome(observed, _count_pvalue(boot, observed), q, bootstrap, degenerate)
+        means = [mlqe.batch_fit_normal(s, q_rows, cfg)[0] for s in samples]
+    centred = [
+        s - m[:, None] if t is None else s - m[:, None] + t[:, None] for s, m, t in zip(samples, means, targets)
+    ]
+    idx = _resample_indices(seeds, bootstrap, tuple(s.shape[1] for s in samples))
+    resampled = tuple(c.ravel()[i] for c, i in zip(centred, idx))
+    del idx  # as large as the resamples; free it before the fits
+    boot_targets = tuple(None if t is None else np.repeat(t, bootstrap) for t in targets)
+    boot, degen, _ = statistic(resampled, boot_targets, _per_row(q, bootstrap), cfg)
+    outcomes = []
+    for r, stat in enumerate(observed.tolist()):
+        rows = slice(r * bootstrap, (r + 1) * bootstrap)
+        degenerate = float(np.count_nonzero(degen[rows])) / bootstrap
+        outcomes.append(TestOutcome(stat, _count_pvalue(boot[rows], stat), float(q[r]), bootstrap, degenerate))
+    return outcomes
+
+
+def _stacked_lqrtest(samples, equal_var: bool, bootstrap: int, seeds) -> list[TestOutcome]:
+    """lqrtest_1samp(x, 0.0) on each row of one (R, n) stack, or lqrtest_ind on each row pair of two.
+
+    q is chosen per row; outcome r equals the single call with seeds[r].
+    """
+    if len(samples) == 1:
+        targets, statistic = (np.zeros(len(seeds)),), _batch_statistic_1samp
+    else:
+        targets, statistic = (None, None), _ind_statistic(equal_var)
+    return _test(samples, targets, statistic, None, bootstrap, seeds, DEFAULT_CONFIG)
 
 
 def pvalue_bootstrap_1samp(
@@ -213,10 +263,9 @@ def pvalue_bootstrap_1samp(
     statistics exceeding the observed one.  Returns (pvalue,
     degenerate_fraction).
     """
-    xa = as_sample(x, 2, "x")
+    samples = _stack(as_sample(x, 3 if q is None else 2, "x"))
     mu0 = check_finite(mu0, "mu0")
-    statistic = partial(_batch_statistic_1samp, mu0=mu0)
-    out = _test((xa,), (mu0,), statistic, select_q_1samp, q, bootstrap, seed, cfg)
+    (out,) = _test(samples, (np.array([mu0]),), _batch_statistic_1samp, q, bootstrap, (seed,), cfg)
     return out.pvalue, out.degenerate_fraction
 
 
@@ -234,26 +283,36 @@ def pvalue_bootstrap_ind(
     Each sample is centered on its own robust mean and resampled
     independently (x then y within each repetition's substream).
     """
-    samples = (as_sample(x, 2, "x"), as_sample(y, 2, "y"))
-    statistic = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
-    out = _test(samples, (None, None), statistic, select_q_ind, q, bootstrap, seed, cfg)
+    min_len = 3 if q is None else 2
+    samples = _stack(as_sample(x, min_len, "x"), as_sample(y, min_len, "y"))
+    (out,) = _test(samples, (None, None), _ind_statistic(equal_var), q, bootstrap, (seed,), cfg)
     return out.pvalue, out.degenerate_fraction
 
 
-def _sandwich_objectives(x: np.ndarray, cfg: FitConfig) -> np.ndarray:
-    """Empirical a*b*a location variance at every grid q, from unconstrained fits."""
-    qs = np.array(Q_GRID)
-    xs = np.broadcast_to(x, (qs.size, x.size))
-    mu, s2, _, _, _ = mlqe.batch_fit_normal(xs, qs, cfg)
+def _sandwich_objectives(xs: np.ndarray, cfg: FitConfig) -> np.ndarray:
+    """Empirical a*b*a location variance at every grid q, from unconstrained fits.
 
-    args = (xs, mu[:, None], s2[:, None], qs[:, None])
+    One row of objectives per row of xs (shape (R, n)), from one fit of
+    all R * 51 (dataset, q) rows.
+    """
+    reps, n = xs.shape
+    qs = np.tile(Q_GRID, reps)
+    block = np.broadcast_to(xs[:, None, :], (reps, len(Q_GRID), n)).reshape(-1, n)
+    mu, s2, _, _, _ = mlqe.batch_fit_normal(block, qs, cfg)
+
+    args = (block, mu[:, None], s2[:, None], qs[:, None])
     b = np.mean(lq_score_mu(*args) ** 2, axis=1)
     mean_curv = np.mean(lq_curvature_mu(*args), axis=1)
     objective = np.full(qs.size, np.inf)
     ok = mean_curv != 0.0
     a = 1.0 / mean_curv[ok]
     objective[ok] = a * b[ok] * a
-    return objective
+    return objective.reshape(reps, -1)
+
+
+def _grid_objectives(samples, cfg: FitConfig) -> np.ndarray:
+    # the q-selection objective of each stacked dataset: its samples' sandwich variances summed
+    return sum(_sandwich_objectives(s, cfg) for s in samples)
 
 
 def _argmin_largest_q(objective: np.ndarray) -> int:
@@ -266,7 +325,7 @@ def _argmin_largest_q(objective: np.ndarray) -> int:
 
 
 def _select_q(samples, cfg: FitConfig) -> QSelectionReport:
-    objective = sum(_sandwich_objectives(s, cfg) for s in samples)
+    (objective,) = _grid_objectives(_stack(*samples), cfg)
     best = _argmin_largest_q(objective)
     return QSelectionReport(
         q_hat=Q_GRID[best],
@@ -295,10 +354,9 @@ def lqrtest_1samp(x, u: float, q=None, bootstrap: int = 100, seed=None) -> TestO
     adaptively, which needs at least three observations.  The statistic
     does not depend on `bootstrap`; only the p-value resolution does.
     """
-    xa = as_sample(x, 3 if q is None else 2, "x")
+    samples = _stack(as_sample(x, 3 if q is None else 2, "x"))
     u = check_finite(u, "u")
-    statistic = partial(_batch_statistic_1samp, mu0=u)
-    return _test((xa,), (u,), statistic, select_q_1samp, q, bootstrap, seed, DEFAULT_CONFIG)
+    return _test(samples, (np.array([u]),), _batch_statistic_1samp, q, bootstrap, (seed,), DEFAULT_CONFIG)[0]
 
 
 def lqrtest_rel(x1, x2, q=None, bootstrap: int = 100, seed=None) -> TestOutcome:
@@ -318,6 +376,5 @@ def lqrtest_ind(x1, x2, equal_var: bool = True, q=None, bootstrap: int = 100, se
     leaves the variances free (Welch-like).
     """
     min_len = 3 if q is None else 2
-    samples = (as_sample(x1, min_len, "x1"), as_sample(x2, min_len, "x2"))
-    statistic = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
-    return _test(samples, (None, None), statistic, select_q_ind, q, bootstrap, seed, DEFAULT_CONFIG)
+    samples = _stack(as_sample(x1, min_len, "x1"), as_sample(x2, min_len, "x2"))
+    return _test(samples, (None, None), _ind_statistic(equal_var), q, bootstrap, (seed,), DEFAULT_CONFIG)[0]

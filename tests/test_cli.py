@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +232,29 @@ class TestDeterminism:
         # parsing the rendered text recovers the exact double
         assert report["q"] == 0.77
         assert f'{report["statistic"]:.17g}' in raw
+
+
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN_SIMULATE = ["simulate", "--reps", "5", "--eps", "0,0.1", "--bootstrap", "50", "--seed", "7"]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("flags, golden", [([], "simulate_power.csv"), (["--size"], "simulate_size.csv")])
+    def test_simulate_matches_golden_bytes(self, flags, golden):
+        # captured before run_scenario stacked its lqrt replicates; every byte must stay
+        proc = subprocess.run([sys.executable, "-m", "lqrt", *GOLDEN_SIMULATE, *flags], capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (DATA / golden).read_bytes()
+
+    def test_cli_test_run_does_not_load_scipy(self, sample_files):
+        # scipy is loaded only by the t-tests' incomplete beta
+        code = (
+            "import sys, contextlib, io, lqrt\n"
+            "from lqrt import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['onesample', {sample_files[0]!r}, '--seed', '1']) == 0\n"
+            "print('scipy' in sys.modules, 'scipy.special' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]

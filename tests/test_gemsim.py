@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import lqrt
 from lqrt import gemsim
 
 
@@ -209,3 +211,86 @@ class TestRunScenario:
         sc = gemsim.builtin_scenarios()[0]
         est = gemsim.run_scenario(sc, "t", eps_grid=[0.0, 0.25], reps=400, seed=31)
         assert est[0].rejection_rate > est[1].rejection_rate + 0.2
+
+
+class TestStackedLqrt:
+    """run_scenario's lqrt replicates run in stacked chunks, bit for bit as one call each."""
+
+    @staticmethod
+    def _scenarios():
+        return [gemsim.ScenarioSpec(sc.setup, sc.means_null, sc.means_alt, sc.variances, n=20)
+                for sc in gemsim.builtin_scenarios()]
+
+    @staticmethod
+    def _single_pvalues(sc, eps_grid, reps, bootstrap, seed):
+        # each replicate through lqrtest_* on its own, from the same substreams
+        out = []
+        for e, eps in enumerate(eps_grid):
+            for r in range(reps):
+                data_ss, boot_ss = np.random.SeedSequence(seed, spawn_key=(e, r)).spawn(2)
+                data = gemsim._generate(sc, eps, sc.means_alt, np.random.default_rng(data_ss))
+                if sc.setup == "paired":
+                    out.append(lqrt.lqrtest_rel(*data, bootstrap=bootstrap, seed=boot_ss).pvalue)
+                elif sc.setup == "one_sample":
+                    out.append(lqrt.lqrtest_1samp(data[0], 0.0, bootstrap=bootstrap, seed=boot_ss).pvalue)
+                else:
+                    equal_var = sc.setup == "unpaired_equal_var"
+                    out.append(lqrt.lqrtest_ind(*data, equal_var=equal_var, bootstrap=bootstrap,
+                                                seed=boot_ss).pvalue)
+        return out
+
+    def test_chunks_split_mid_grid_and_match_single_calls(self, monkeypatch):
+        eps_grid, reps, bootstrap, seed = [0.0, 0.2], 5, 30, 17
+        calls, pvalues = [], []
+        original = gemsim._lqrt_pvalues
+
+        def recorded(setup, datasets, seeds, b):
+            calls.append(len(datasets))
+            got = original(setup, datasets, seeds, b)
+            pvalues.extend(got)
+            return got
+
+        monkeypatch.setattr(gemsim, "_lqrt_pvalues", recorded)
+        for sc in self._scenarios():
+            width = sc.n * (1 if sc.setup in ("one_sample", "paired") else 2)
+            per_replicate = len(lqrt.Q_GRID) * width  # the q grid outgrows 30 resamples
+            calls.clear()
+            pvalues.clear()
+            # three replicates per call: the eps boundary after replicate 5 falls inside a call
+            monkeypatch.setattr(gemsim, "STACK_ELEMENTS", 3 * per_replicate + per_replicate // 2)
+            run = lambda: gemsim.run_scenario(sc, "lqrt", eps_grid=eps_grid, reps=reps, bootstrap=bootstrap, seed=seed)
+            small = run()
+            assert calls == [3, 3, 3, 1]
+            assert pvalues == self._single_pvalues(sc, eps_grid, reps, bootstrap, seed)
+            monkeypatch.setattr(gemsim, "STACK_ELEMENTS", 1)  # below one replicate: one per call
+            calls.clear()
+            assert run() == small and calls == [1] * 10
+            monkeypatch.setattr(gemsim, "STACK_ELEMENTS", 2**30)  # everything in one call
+            calls.clear()
+            assert run() == small and calls == [10]
+
+    def test_lqrt_needs_three_observations(self):
+        sc = gemsim.ScenarioSpec("one_sample", (0.0,), (0.3,), (1.0, None, 50.0), n=2)
+        with pytest.raises(ValueError, match="^n must be a whole number of at least 3"):
+            gemsim.run_scenario(sc, "lqrt", eps_grid=[0.0], reps=1, seed=0)
+        gemsim.run_scenario(sc, "t", eps_grid=[0.0], reps=1, seed=0)
+
+    @pytest.mark.slow
+    def test_peak_memory_set_by_the_cap_not_by_reps(self):
+        # stacking all 200 replicates at once would build blocks of
+        # 200 * 200 * 50 elements; chunking holds the traced peak at a few
+        # blocks of the cap, the same as for two chunks' worth of replicates
+        sc = gemsim.builtin_scenarios()[0]
+        gemsim.run_scenario(sc, "lqrt", eps_grid=[0.1], reps=1, bootstrap=200, seed=1)
+
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                gemsim.run_scenario(sc, "lqrt", eps_grid=[0.1], reps=reps, bootstrap=200, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(12), peak(200)
+        assert many < 1.25 * few
+        assert many < 12 * 8 * gemsim.STACK_ELEMENTS

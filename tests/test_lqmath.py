@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lqrt
-from lqrt import gemsim, lqmath
+from lqrt import gemsim, lqmath, mlqe
 
 # Frozen with 40-digit arithmetic.
 LQ_LOG_2_HALF = 0.8284271247461901  # 2*(sqrt(2)-1)
@@ -90,6 +90,24 @@ class TestLqWeight:
         assert np.exp(lqmath.normal_log_pdf(50.0, 0.0, 1.0)) == 0.0
         w = lqmath.lq_weight(50.0, 0.0, 1.0, 0.5)
         assert 0.0 < w < 1e-250
+
+    @pytest.mark.parametrize("fn", [lqmath.lq_weight, lambda x, mu, s2, q: lqmath.normal_log_pdf(x, mu, s2)])
+    def test_rejects_non_positive_variance(self, fn):
+        xs = np.zeros((3, 4))
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma2 must be positive"):
+                fn(0.0, 0.0, bad, 0.7)
+            with pytest.raises(ValueError, match="sigma2 must be positive"):
+                fn(xs, 0.0, np.array([[1.0], [bad], [2.0]]), 0.7)
+
+    def test_fits_skip_the_variance_check(self, monkeypatch):
+        # the fitters floor every variance, so their loop does not pay for the check
+        calls = []
+        monkeypatch.setattr(lqmath, "_check_sigma2", lambda s2: calls.append(s2))
+        xs = np.random.default_rng(5).normal(0.0, 1.0, (20, 30))
+        mlqe.batch_fit_normal(xs, 0.7)
+        mlqe.batch_fit_shared_mean(xs, xs + 1.0, 0.7)
+        assert calls == []
 
 
 class TestLqLikelihood:

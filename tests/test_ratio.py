@@ -439,3 +439,67 @@ class TestNonFiniteStatistic:
     def test_count_pvalue_rejects_non_finite(self, observed, boot):
         with pytest.raises(ValueError, match="not finite"):
             ratio_test._count_pvalue(np.array(boot), observed)
+
+
+class TestStackedDriver:
+    """_test on R stacked datasets equals R separate single-dataset calls, bit for bit."""
+
+    # (seed, outliers): adaptive q lands on 1.0, 0.5 and in between for both tests
+    CASES = [(2, 0), (3, 3), (4, 8), (0, 3), (7, 8)]
+    MU0 = [0.0, 0.25, -0.5, 0.25, 1.0]
+
+    @staticmethod
+    def _sample(seed, n, n_out, mu):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([rng.normal(mu, 1.0, n - n_out), rng.normal(mu, np.sqrt(50.0), n_out)])
+
+    def _datasets(self):
+        xs = [self._sample(seed, 30, k, 0.3) for seed, k in self.CASES]
+        ys = [self._sample(seed + 100, 25, k, 0.0) for seed, k in self.CASES]
+        return xs, ys
+
+    @staticmethod
+    def _fields(out):
+        return (out.statistic, out.pvalue, out.q, out.bootstrap, out.degenerate_fraction)
+
+    @pytest.mark.parametrize("q", [None, 0.6])
+    def test_1samp_rows_equal_single_calls(self, q):
+        xs, _ = self._datasets()
+        seeds = list(range(40, 45))
+        stacked = ratio_test._test((np.stack(xs),), (np.array(self.MU0),), ratio_test._batch_statistic_1samp,
+                                   q, 60, seeds, mlqe.DEFAULT_CONFIG)
+        single = [lqrt.lqrtest_1samp(x, m, q=q, bootstrap=60, seed=s) for x, m, s in zip(xs, self.MU0, seeds)]
+        assert [self._fields(o) for o in stacked] == [self._fields(o) for o in single]
+        if q is None:
+            assert {1.0, 0.5} <= {o.q for o in single}
+
+    @pytest.mark.parametrize("q", [None, 0.6])
+    @pytest.mark.parametrize("equal_var", [True, False])
+    def test_ind_rows_equal_single_calls(self, q, equal_var):
+        xs, ys = self._datasets()
+        seeds = list(range(50, 55))
+        stacked = ratio_test._test((np.stack(xs), np.stack(ys)), (None, None), ratio_test._ind_statistic(equal_var),
+                                   q, 60, seeds, mlqe.DEFAULT_CONFIG)
+        single = [lqrt.lqrtest_ind(x, y, equal_var=equal_var, q=q, bootstrap=60, seed=s)
+                  for x, y, s in zip(xs, ys, seeds)]
+        assert [self._fields(o) for o in stacked] == [self._fields(o) for o in single]
+        if q is None:
+            assert {1.0, 0.5} <= {o.q for o in single}
+
+    def test_stacked_lqrtest_is_the_adaptive_test_of_each_row(self):
+        xs, ys = self._datasets()
+        seeds = [np.random.SeedSequence(9, spawn_key=(r,)) for r in range(5)]
+        got = ratio_test._stacked_lqrtest((np.stack(xs),), True, 40, seeds)
+        want = [lqrt.lqrtest_1samp(x, 0.0, bootstrap=40, seed=np.random.SeedSequence(9, spawn_key=(r,)))
+                for r, x in enumerate(xs)]
+        assert got == want
+
+    def test_per_row_q_likelihood_matches_scalar_rows(self):
+        xs, _ = self._datasets()
+        block = np.stack(xs)
+        mu = np.linspace(-0.5, 0.5, 5)[:, None]
+        s2 = np.linspace(0.5, 3.0, 5)[:, None]
+        q = np.array([1.0, 0.5, 0.67, 1.0, 0.79])[:, None]
+        got = lqmath.lq_likelihood(block, mu, s2, q)
+        want = np.array([lqmath.lq_likelihood(block[r], mu[r, 0], s2[r, 0], q[r, 0]) for r in range(5)])
+        assert got.tobytes() == want.tobytes()
