@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lqmath import as_sample, check_finite
+from .lqmath import _paired_differences, as_sample, check_finite
 
 __all__ = [
     "ClassicalOutcome",
@@ -64,7 +64,11 @@ def binomial_tail(n: int, k: int) -> float:
     """P(K >= k) for K ~ Binomial(n, 1/2), computed as an exact rational."""
     if not 0 <= k <= n:
         raise ValueError("k must lie in [0, n]")
-    return sum(math.comb(n, i) for i in range(k, n + 1)) / 2**n
+    term = total = math.comb(n, k)
+    for i in range(k, n):
+        term = term * (n - i) // (i + 1)  # C(n, i + 1), exactly
+        total += term
+    return total / 2**n
 
 
 def _t_two_sided(t: float, df: float) -> float:
@@ -94,11 +98,7 @@ def ttest_1samp(x, mu0: float) -> ClassicalOutcome:
 
 def ttest_rel(x, y) -> ClassicalOutcome:
     """Paired t-test: one-sample t-test of the differences against 0."""
-    x = as_sample(x, 2, "x")
-    y = as_sample(y, 2, "y")
-    if x.shape != y.shape:
-        raise ValueError("paired samples must have equal length")
-    out = ttest_1samp(x - y, 0.0)
+    out = ttest_1samp(_paired_differences(x, y, 2), 0.0)
     return ClassicalOutcome(out.statistic, out.pvalue, "t_rel")
 
 
@@ -162,14 +162,7 @@ def wilcoxon_signed_rank(x, y=None) -> ClassicalOutcome:
     differences, tie-corrected normal approximation with continuity
     correction beyond.
     """
-    x = as_sample(x, 0, "x")
-    if y is None:
-        d = x
-    else:
-        y = as_sample(y, 0, "y")
-        if x.shape != y.shape:
-            raise ValueError("paired samples must have equal length")
-        d = x - y
+    d = as_sample(x, 0, "x") if y is None else _paired_differences(x, y, 0)
     d = d[d != 0.0]
     if d.size == 0:
         return ClassicalOutcome(0.0, 1.0, "wilcoxon_signed_rank")
@@ -218,6 +211,6 @@ def sign_test(x, mu0: float) -> ClassicalOutcome:
     n = above + below
     if n == 0:
         return ClassicalOutcome(0.0, 1.0, "sign")
-    # P(K >= above) and P(K <= above) = P(K >= n - above) by symmetry
-    tail = min(binomial_tail(n, above), binomial_tail(n, n - above))
+    # P(K >= above) and P(K <= above) = P(K >= n - above) by symmetry; the smaller tail starts at the larger count
+    tail = binomial_tail(n, max(above, n - above))
     return ClassicalOutcome(above - n / 2.0, min(1.0, 2.0 * tail), "sign")

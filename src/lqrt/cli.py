@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import gemsim, ratio_test
+from .lqmath import check_q
 
 __all__ = ["parse_args", "read_sample", "read_paired_columns", "run", "main"]
 
@@ -27,12 +28,9 @@ def _q_arg(text: str):
     if text == "auto":
         return None
     try:
-        q = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid q value {text!r}")
-    if not 0.0 < q <= 1.0:
-        raise argparse.ArgumentTypeError(f"q must satisfy 0 < q <= 1, got {text}")
-    return q
+        return check_q(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _positive_int(text: str) -> int:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import baselines, ratio_test
 from .lqmath import check_count
+from .mlqe import DEFAULT_CONFIG
 
 __all__ = [
     "GrossErrorSpec",
@@ -182,27 +183,23 @@ def _test_data(setup: str, data):
     return (data[0] - data[1],) if setup == "paired" else data
 
 
-def _run_test(test: str, setup: str, data) -> float:
-    # one classical test on one replicate
-    data = _test_data(setup, data)
-    if test == "t":
-        if len(data) == 1:
-            return baselines.ttest_1samp(data[0], 0.0).pvalue
-        return baselines.ttest_ind(*data, equal_var=setup == "unpaired_equal_var").pvalue
-    if test == "wilcoxon":
-        return baselines.wilcoxon_signed_rank(data[0]).pvalue
-    if test == "sign":
-        return baselines.sign_test(data[0], 0.0).pvalue
-    if test == "ranksum":
-        return baselines.rank_sum(*data).pvalue
-    raise ValueError(f"unknown test identifier {test!r}")
-
-
-def _lqrt_pvalues(setup: str, datasets, seeds, bootstrap: int) -> list[float]:
-    # the lqrt p-values of equal-size datasets, stacked into one test call
-    samples = tuple(np.stack(s) for s in zip(*(_test_data(setup, d) for d in datasets)))
-    outcomes = ratio_test._stacked_lqrtest(samples, setup == "unpaired_equal_var", bootstrap, seeds)
-    return [out.pvalue for out in outcomes]
+def _pvalues(test: str, setup: str, datasets, seeds, bootstrap: int) -> list[float]:
+    # the p-values of test on equal-size datasets: lqrt tests them in one stacked
+    # call, with adaptive q, and a classical test takes them one at a time
+    datasets = [_test_data(setup, d) for d in datasets]
+    equal_var = setup == "unpaired_equal_var"
+    if test == "lqrt":
+        samples = tuple(np.stack(s) for s in zip(*datasets))
+        outcomes = ratio_test._test(samples, np.zeros(len(seeds)), equal_var, None, bootstrap, seeds, DEFAULT_CONFIG)
+        return [out.pvalue for out in outcomes]
+    classical = {
+        "t": lambda d: (baselines.ttest_1samp(d[0], 0.0) if len(d) == 1
+                        else baselines.ttest_ind(*d, equal_var=equal_var)),
+        "wilcoxon": lambda d: baselines.wilcoxon_signed_rank(d[0]),
+        "sign": lambda d: baselines.sign_test(d[0], 0.0),
+        "ranksum": lambda d: baselines.rank_sum(*d),
+    }[test]
+    return [classical(d).pvalue for d in datasets]
 
 
 def run_scenario(
@@ -228,7 +225,7 @@ def run_scenario(
     if test not in TESTS_BY_SETUP[scenario.setup]:
         raise ValueError(f"test {test!r} is not available for setup {scenario.setup!r}")
     if test == "lqrt":
-        check_count(scenario.n, "n", minimum=3)  # adaptive q needs three observations
+        check_count(scenario.n, "n", minimum=ratio_test._min_len(None))  # lqrt chooses q adaptively
     eps_grid = [float(eps) for eps in eps_grid]
     if not all(0.0 <= eps < 0.5 for eps in eps_grid):
         raise ValueError("every eps must lie in [0, 0.5)")
@@ -243,19 +240,15 @@ def run_scenario(
                 data_ss, boot_ss = np.random.SeedSequence(seed, spawn_key=(e, r)).spawn(2)
                 yield e, _generate(scenario, eps, means, np.random.default_rng(data_ss)), boot_ss
 
+    # whole replicates per call, so a stacked lqrt call's largest block stays within STACK_ELEMENTS
+    width = scenario.n * (1 if scenario.setup in ("one_sample", "paired") else 2)
+    per_call = max(1, STACK_ELEMENTS // (max(bootstrap, len(ratio_test.Q_GRID)) * width))
     rejections = [0] * len(eps_grid)
-    if test == "lqrt":
-        # whole replicates per stacked call, so its largest block stays within STACK_ELEMENTS
-        width = scenario.n * (1 if scenario.setup in ("one_sample", "paired") else 2)
-        per_call = max(1, STACK_ELEMENTS // (max(bootstrap, len(ratio_test.Q_GRID)) * width))
-        todo = replicates()
-        while chunk := list(itertools.islice(todo, per_call)):
-            es, datasets, seeds = zip(*chunk)
-            for e, pvalue in zip(es, _lqrt_pvalues(scenario.setup, datasets, seeds, bootstrap)):
-                rejections[e] += pvalue <= alpha
-    else:
-        for e, data, _ in replicates():
-            rejections[e] += _run_test(test, scenario.setup, data) <= alpha
+    todo = replicates()
+    while chunk := list(itertools.islice(todo, per_call)):
+        es, datasets, seeds = zip(*chunk)
+        for e, pvalue in zip(es, _pvalues(test, scenario.setup, datasets, seeds, bootstrap)):
+            rejections[e] += pvalue <= alpha
 
     estimates = []
     for eps, hits in zip(eps_grid, rejections):

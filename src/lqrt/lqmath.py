@@ -37,6 +37,14 @@ def as_sample(x, min_len: int, name: str = "sample") -> np.ndarray:
     return arr
 
 
+def _paired_differences(x, y, min_len: int, names=("x", "y")) -> np.ndarray:
+    # two paired samples, each checked by as_sample, as their differences x - y
+    x, y = as_sample(x, min_len, names[0]), as_sample(y, min_len, names[1])
+    if x.shape != y.shape:
+        raise ValueError("paired samples must have equal length")
+    return x - y
+
+
 def check_q(q: float) -> float:
     """Validate the distortion parameter: must satisfy 0 < q <= 1."""
     q = float(q)

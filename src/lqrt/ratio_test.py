@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mlqe
-from .lqmath import as_sample, check_count, check_finite, check_q, lq_curvature_mu, lq_likelihood, lq_score_mu
+from .lqmath import (_paired_differences, as_sample, check_count, check_finite, check_q, lq_curvature_mu,
+                     lq_likelihood, lq_score_mu)
 from .mlqe import DEFAULT_CONFIG, FitConfig
 
 __all__ = [
@@ -121,32 +122,31 @@ def _batch_statistic_ind_unequal(blocks, targets, q, cfg: FitConfig):
     return d, _degenerate((convx, clipx), (convy, clipy), (conv0, clip0)), (mx, my)
 
 
-def _ind_statistic(equal_var: bool):
-    return _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
+def _min_len(q) -> int:
+    # choosing q adaptively (q None) needs three observations per sample; a fixed q needs two
+    return 3 if q is None else 2
 
 
-def _stack(*samples) -> tuple:
-    # each 1-D sample as a stack of one dataset
-    return tuple(s[None, :] for s in samples)
+def _stack(q, **samples) -> tuple:
+    # each named 1-D sample, checked for a test at q, as a stack of one dataset
+    return tuple(as_sample(x, _min_len(q), name)[None, :] for name, x in samples.items())
 
 
 def statistic_1samp(x, mu0: float, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """One-sample ratio statistic for H0: mu = mu0; equals the Gaussian LRT at q = 1."""
-    samples = _stack(as_sample(x, 2, "x"))
+    samples = _stack(q, x=x)
     mu0 = check_finite(mu0, "mu0")
     return float(_batch_statistic_1samp(samples, (mu0,), check_q(q), cfg)[0][0])
 
 
 def statistic_ind_equal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """Two-sample ratio statistic under a shared-variance alternative."""
-    samples = _stack(as_sample(x, 2, "x"), as_sample(y, 2, "y"))
-    return float(_batch_statistic_ind_equal(samples, (None, None), check_q(q), cfg)[0][0])
+    return float(_batch_statistic_ind_equal(_stack(q, x=x, y=y), (None, None), check_q(q), cfg)[0][0])
 
 
 def statistic_ind_unequal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """Two-sample ratio statistic with free per-sample variances."""
-    samples = _stack(as_sample(x, 2, "x"), as_sample(y, 2, "y"))
-    return float(_batch_statistic_ind_unequal(samples, (None, None), check_q(q), cfg)[0][0])
+    return float(_batch_statistic_ind_unequal(_stack(q, x=x, y=y), (None, None), check_q(q), cfg)[0][0])
 
 
 def _resample_indices(seeds, reps: int, sizes: tuple[int, ...]) -> list[np.ndarray]:
@@ -196,24 +196,30 @@ def _count_pvalue(boot: np.ndarray, observed: float) -> float:
     return count / boot.size
 
 
-def _test(samples, targets, statistic, q, bootstrap: int, seeds, cfg: FitConfig) -> list[TestOutcome]:
+def _test(samples, null, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConfig) -> list[TestOutcome]:
     """The TestOutcomes of R datasets tested together; every test result is made here.
 
     `samples` holds one (R, n_k) block per sample, row r of each being
-    dataset r; `targets` holds per sample None or the (R,) null means, and
-    `seeds` the R seeds.  `statistic(blocks, targets, q, cfg)` is a batch
-    statistic.  With q None, each dataset gets its own q from one stacked
-    run of the grid.  The observed fits also give each sample's robust
-    mean; the sample is centred on it, shifted to its target where the null
-    names one, and resampled with replacement, the samples in order within
-    each repetition's substream.  The pooled statistic fits no sample on
-    its own, so its samples are fit here.  Every phase is one batch over
-    all datasets, with per-row q, and outcome r equals that of dataset r
+    dataset r, and `seeds` the R seeds.  One block is the one-sample test
+    of H0: mu = null[r]; two blocks are the two-sample test, pooled when
+    equal_var holds and Welch otherwise (`null` is then unused).  With q
+    None, each dataset gets its own q from one stacked run of the grid.
+    The observed fits also give each sample's robust mean; the sample is
+    centred on it, shifted to the null mean in the one-sample test, and
+    resampled with replacement, the samples in order within each
+    repetition's substream.  The pooled statistic fits no sample on its
+    own, so its samples are fit here.  Every phase is one batch over all
+    datasets, with per-row q, and outcome r equals that of dataset r
     tested alone, bit for bit.
     """
     bootstrap = check_count(bootstrap, "bootstrap")
+    if len(samples) == 1:
+        statistic, targets = _batch_statistic_1samp, (np.asarray(null, dtype=float),)
+    else:
+        statistic = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
+        targets = (None, None)
     if q is None:
-        q = np.array([Q_GRID[_argmin_largest_q(row)] for row in _grid_objectives(samples, cfg)])
+        q = np.asarray(Q_GRID)[_best_q(_grid_objectives(samples, cfg))]
     else:
         q = np.full(len(seeds), check_q(q))
     q_rows = _per_row(q, 1)
@@ -236,18 +242,6 @@ def _test(samples, targets, statistic, q, bootstrap: int, seeds, cfg: FitConfig)
     return outcomes
 
 
-def _stacked_lqrtest(samples, equal_var: bool, bootstrap: int, seeds) -> list[TestOutcome]:
-    """lqrtest_1samp(x, 0.0) on each row of one (R, n) stack, or lqrtest_ind on each row pair of two.
-
-    q is chosen per row; outcome r equals the single call with seeds[r].
-    """
-    if len(samples) == 1:
-        targets, statistic = (np.zeros(len(seeds)),), _batch_statistic_1samp
-    else:
-        targets, statistic = (None, None), _ind_statistic(equal_var)
-    return _test(samples, targets, statistic, None, bootstrap, seeds, DEFAULT_CONFIG)
-
-
 def pvalue_bootstrap_1samp(
     x,
     mu0: float,
@@ -263,9 +257,9 @@ def pvalue_bootstrap_1samp(
     statistics exceeding the observed one.  Returns (pvalue,
     degenerate_fraction).
     """
-    samples = _stack(as_sample(x, 3 if q is None else 2, "x"))
+    samples = _stack(q, x=x)
     mu0 = check_finite(mu0, "mu0")
-    (out,) = _test(samples, (np.array([mu0]),), _batch_statistic_1samp, q, bootstrap, (seed,), cfg)
+    (out,) = _test(samples, [mu0], None, q, bootstrap, (seed,), cfg)
     return out.pvalue, out.degenerate_fraction
 
 
@@ -283,9 +277,7 @@ def pvalue_bootstrap_ind(
     Each sample is centered on its own robust mean and resampled
     independently (x then y within each repetition's substream).
     """
-    min_len = 3 if q is None else 2
-    samples = _stack(as_sample(x, min_len, "x"), as_sample(y, min_len, "y"))
-    (out,) = _test(samples, (None, None), _ind_statistic(equal_var), q, bootstrap, (seed,), cfg)
+    (out,) = _test(_stack(q, x=x, y=y), None, equal_var, q, bootstrap, (seed,), cfg)
     return out.pvalue, out.degenerate_fraction
 
 
@@ -315,18 +307,14 @@ def _grid_objectives(samples, cfg: FitConfig) -> np.ndarray:
     return sum(_sandwich_objectives(s, cfg) for s in samples)
 
 
-def _argmin_largest_q(objective: np.ndarray) -> int:
-    # ties resolve toward the largest q, i.e. the most efficient candidate
-    best = 0
-    for i in range(1, objective.size):
-        if objective[i] <= objective[best]:
-            best = i
-    return best
+def _best_q(objectives: np.ndarray):
+    # the grid index of each row's minimum; ties resolve toward the largest q, the most efficient candidate
+    return objectives.shape[-1] - 1 - np.argmin(objectives[..., ::-1], axis=-1)
 
 
 def _select_q(samples, cfg: FitConfig) -> QSelectionReport:
-    (objective,) = _grid_objectives(_stack(*samples), cfg)
-    best = _argmin_largest_q(objective)
+    (objective,) = _grid_objectives(samples, cfg)
+    best = int(_best_q(objective))
     return QSelectionReport(
         q_hat=Q_GRID[best],
         grid=list(zip(Q_GRID, objective.tolist())),
@@ -336,7 +324,7 @@ def _select_q(samples, cfg: FitConfig) -> QSelectionReport:
 
 def select_q_1samp(x, cfg: FitConfig = DEFAULT_CONFIG) -> QSelectionReport:
     """Pick q on the grid by minimizing the sandwich variance of the mean."""
-    return _select_q((as_sample(x, 3, "x"),), cfg)
+    return _select_q(_stack(None, x=x), cfg)
 
 
 def select_q_ind(x, y, cfg: FitConfig = DEFAULT_CONFIG) -> QSelectionReport:
@@ -344,7 +332,7 @@ def select_q_ind(x, y, cfg: FitConfig = DEFAULT_CONFIG) -> QSelectionReport:
 
     Both samples are fit unconstrained, whichever variance model the test uses.
     """
-    return _select_q((as_sample(x, 3, "x"), as_sample(y, 3, "y")), cfg)
+    return _select_q(_stack(None, x=x, y=y), cfg)
 
 
 def lqrtest_1samp(x, u: float, q=None, bootstrap: int = 100, seed=None) -> TestOutcome:
@@ -354,19 +342,15 @@ def lqrtest_1samp(x, u: float, q=None, bootstrap: int = 100, seed=None) -> TestO
     adaptively, which needs at least three observations.  The statistic
     does not depend on `bootstrap`; only the p-value resolution does.
     """
-    samples = _stack(as_sample(x, 3 if q is None else 2, "x"))
+    samples = _stack(q, x=x)
     u = check_finite(u, "u")
-    return _test(samples, (np.array([u]),), _batch_statistic_1samp, q, bootstrap, (seed,), DEFAULT_CONFIG)[0]
+    return _test(samples, [u], None, q, bootstrap, (seed,), DEFAULT_CONFIG)[0]
 
 
 def lqrtest_rel(x1, x2, q=None, bootstrap: int = 100, seed=None) -> TestOutcome:
     """Paired two-sample test: one-sample test of the differences against 0."""
-    min_len = 3 if q is None else 2
-    a = as_sample(x1, min_len, "x1")
-    b = as_sample(x2, min_len, "x2")
-    if a.shape != b.shape:
-        raise ValueError("paired samples must have equal length")
-    return lqrtest_1samp(a - b, 0.0, q=q, bootstrap=bootstrap, seed=seed)
+    d = _paired_differences(x1, x2, _min_len(q), ("x1", "x2"))
+    return lqrtest_1samp(d, 0.0, q=q, bootstrap=bootstrap, seed=seed)
 
 
 def lqrtest_ind(x1, x2, equal_var: bool = True, q=None, bootstrap: int = 100, seed=None) -> TestOutcome:
@@ -375,6 +359,4 @@ def lqrtest_ind(x1, x2, equal_var: bool = True, q=None, bootstrap: int = 100, se
     equal_var=True pools the variance (Student-like); equal_var=False
     leaves the variances free (Welch-like).
     """
-    min_len = 3 if q is None else 2
-    samples = _stack(as_sample(x1, min_len, "x1"), as_sample(x2, min_len, "x2"))
-    return _test(samples, (None, None), _ind_statistic(equal_var), q, bootstrap, (seed,), DEFAULT_CONFIG)[0]
+    return _test(_stack(q, x1=x1, x2=x2), None, equal_var, q, bootstrap, (seed,), DEFAULT_CONFIG)[0]

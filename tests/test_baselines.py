@@ -228,6 +228,23 @@ class TestSpecialFunctions:
         with pytest.raises(ValueError):
             baselines.binomial_tail(5, 6)
 
+    @pytest.mark.parametrize("n", [50, 1000, 3000])
+    def test_binomial_tail_recurrence_is_bitwise_the_comb_sum(self, n):
+        # both are the same exact rational, rounded once
+        for k in sorted({0, 1, n // 3, n // 2 - 7, n // 2, n // 2 + 1, n // 2 + n // 20, 3 * n // 5, n - 1, n}):
+            direct = sum(math.comb(n, i) for i in range(k, n + 1)) / 2**n
+            assert baselines.binomial_tail(n, k) == direct
+
+    def test_sign_test_at_large_n_against_high_precision(self):
+        # one tail of 5 000-odd recurrence steps, where two comb sums took seconds
+        n, above = 10_000, 4_880
+        x = np.concatenate([np.full(above, 1.0), np.full(n - above, -1.0)])
+        with mp.workdps(40):
+            want = 2 * mp.fsum(mp.binomial(n, i) for i in range(n - above, n + 1)) / mp.mpf(2) ** n
+        got = baselines.sign_test(x, 0.0).pvalue
+        assert 0.01 < got < 0.05
+        assert abs(got - float(want)) <= 1e-13 * float(want)
+
 
 def test_all_pvalues_in_unit_interval():
     rng = np.random.default_rng(60)

@@ -49,6 +49,17 @@ class TestParseArgs:
             cli.parse_args(["onesample", sample_files[0], "--q", "1.5"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("q", ["0", "nan", "-0.5", "inf", "abc"])
+    def test_bad_q_exits_2(self, sample_files, q, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.parse_args(["onesample", sample_files[0], "--q", q])
+        assert err.value.code == 2
+        assert "argument --q" in capsys.readouterr().err
+
+    def test_q_auto_is_adaptive(self, sample_files):
+        assert cli.parse_args(["onesample", sample_files[0], "--q", "auto"]).q is None
+        assert cli.parse_args(["onesample", sample_files[0], "--q", "1"]).q == 1.0
+
     def test_unknown_flag_exits_2(self, sample_files):
         with pytest.raises(SystemExit) as err:
             cli.parse_args(["onesample", sample_files[0], "--frobnicate"])
@@ -236,6 +247,14 @@ class TestDeterminism:
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN_SIMULATE = ["simulate", "--reps", "5", "--eps", "0,0.1", "--bootstrap", "50", "--seed", "7"]
+# test subcommands on one fixed contaminated pair: pair_x.csv and pair_y.csv, side by side in pair.csv
+GOLDEN_TESTS = [
+    (["onesample", "pair_x.csv", "--seed", "7"], "cli_onesample.json"),
+    (["paired", "pair.csv", "--paired-columns", "--seed", "5"], "cli_paired.json"),
+    (["unpaired", "pair_x.csv", "pair_y.csv", "--seed", "11"], "cli_unpaired.json"),
+    (["unpaired", "pair_x.csv", "pair_y.csv", "--seed", "11", "--no-equal-var"], "cli_unpaired_welch.json"),
+    (["selectq", "pair_x.csv", "pair_y.csv", "--format", "csv"], "cli_selectq.csv"),
+]
 
 
 class TestGoldenOutput:
@@ -245,6 +264,19 @@ class TestGoldenOutput:
         proc = subprocess.run([sys.executable, "-m", "lqrt", *GOLDEN_SIMULATE, *flags], capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == (DATA / golden).read_bytes()
+
+    @pytest.mark.parametrize("argv, golden", GOLDEN_TESTS, ids=[g for _, g in GOLDEN_TESTS])
+    def test_test_subcommands_match_golden_bytes(self, argv, golden):
+        # captured before `_test` chose its own statistic; every byte must stay
+        argv = [str(DATA / a) if a.endswith(".csv") else a for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "lqrt", *argv], capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (DATA / golden).read_bytes()
+
+    def test_golden_pair_files_hold_one_pair(self):
+        x, y = cli.read_sample(str(DATA / "pair_x.csv")), cli.read_sample(str(DATA / "pair_y.csv"))
+        px, py = cli.read_paired_columns(str(DATA / "pair.csv"))
+        assert x.tolist() == px.tolist() and y.tolist() == py.tolist()
 
     def test_cli_test_run_does_not_load_scipy(self, sample_files):
         # scipy is loaded only by the t-tests' incomplete beta

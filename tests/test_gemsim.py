@@ -242,15 +242,15 @@ class TestStackedLqrt:
     def test_chunks_split_mid_grid_and_match_single_calls(self, monkeypatch):
         eps_grid, reps, bootstrap, seed = [0.0, 0.2], 5, 30, 17
         calls, pvalues = [], []
-        original = gemsim._lqrt_pvalues
+        original = gemsim._pvalues
 
-        def recorded(setup, datasets, seeds, b):
+        def recorded(test, setup, datasets, seeds, b):
             calls.append(len(datasets))
-            got = original(setup, datasets, seeds, b)
+            got = original(test, setup, datasets, seeds, b)
             pvalues.extend(got)
             return got
 
-        monkeypatch.setattr(gemsim, "_lqrt_pvalues", recorded)
+        monkeypatch.setattr(gemsim, "_pvalues", recorded)
         for sc in self._scenarios():
             width = sc.n * (1 if sc.setup in ("one_sample", "paired") else 2)
             per_replicate = len(lqrt.Q_GRID) * width  # the q grid outgrows 30 resamples
@@ -268,6 +268,23 @@ class TestStackedLqrt:
             monkeypatch.setattr(gemsim, "STACK_ELEMENTS", 2**30)  # everything in one call
             calls.clear()
             assert run() == small and calls == [10]
+
+    @pytest.mark.parametrize("test", ["lqrt", "t", "wilcoxon", "sign"])
+    def test_every_test_takes_the_same_chunks(self, monkeypatch, test):
+        sc = gemsim.ScenarioSpec("paired", (0.0, 0.0), (0.0, 0.5), (1.0, 1.0, 50.0), n=20)
+        calls = []
+        original = gemsim._pvalues
+
+        def recorded(*args):
+            calls.append(len(args[2]))
+            return original(*args)
+
+        monkeypatch.setattr(gemsim, "_pvalues", recorded)
+        monkeypatch.setattr(gemsim, "STACK_ELEMENTS", 2 * len(lqrt.Q_GRID) * sc.n)
+        small = gemsim.run_scenario(sc, test, eps_grid=[0.0, 0.2], reps=3, bootstrap=30, seed=8)
+        assert calls == [2, 2, 2]
+        monkeypatch.setattr(gemsim, "STACK_ELEMENTS", 2**30)
+        assert gemsim.run_scenario(sc, test, eps_grid=[0.0, 0.2], reps=3, bootstrap=30, seed=8) == small
 
     def test_lqrt_needs_three_observations(self):
         sc = gemsim.ScenarioSpec("one_sample", (0.0,), (0.3,), (1.0, None, 50.0), n=2)

@@ -282,6 +282,36 @@ class TestArgumentChecks:
         assert type(cfg.max_iter) is int and cfg == lqrt.DEFAULT_CONFIG
         assert lqrt.fit_normal(self._X, 0.7, cfg) == lqrt.fit_normal(self._X, 0.7)
 
+    @pytest.mark.parametrize("names, min_len, call", [
+        pytest.param(("x1", "x2"), 3, lambda x, y: lqrt.lqrtest_rel(x, y, bootstrap=10, seed=1), id="lqrtest_rel"),
+        pytest.param(("x1", "x2"), 2, lambda x, y: lqrt.lqrtest_rel(x, y, q=0.7, bootstrap=10, seed=1),
+                     id="lqrtest_rel_fixed_q"),
+        pytest.param(("x", "y"), 2, lambda x, y: lqrt.ttest_rel(x, y), id="ttest_rel"),
+        pytest.param(("x", "y"), 0, lambda x, y: lqrt.wilcoxon_signed_rank(x, y), id="wilcoxon_signed_rank"),
+    ])
+    def test_pairing_checked_the_same_way(self, names, min_len, call):
+        with pytest.raises(ValueError, match=r"^paired samples must have equal length$"):
+            call(self._X, self._X[:-1])
+        with pytest.raises(ValueError, match=rf"^{names[1]} contains NaN"):
+            call(self._X, np.where(np.arange(20) == 4, np.nan, self._X))
+        if min_len:
+            short = self._X[: min_len - 1]
+            with pytest.raises(ValueError, match=rf"^{names[0]} must hold at least {min_len} observations"):
+                call(short, short)
+        assert 0.0 <= call(self._X[:min_len + 1], self._X[1:min_len + 2]).pvalue <= 1.0
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda x, q: lqrt.lqrtest_1samp(x, 0.0, q=q, bootstrap=10, seed=1), id="lqrtest_1samp"),
+        pytest.param(lambda x, q: lqrt.lqrtest_ind(x, x + 1.0, q=q, bootstrap=10, seed=1), id="lqrtest_ind"),
+        pytest.param(lambda x, q: lqrt.pvalue_bootstrap_1samp(x, 0.0, q, 10, seed=1), id="pvalue_bootstrap_1samp"),
+        pytest.param(lambda x, q: lqrt.pvalue_bootstrap_ind(x, x, q, False, 10, seed=1), id="pvalue_bootstrap_ind"),
+    ])
+    def test_adaptive_q_needs_three_observations(self, call):
+        with pytest.raises(ValueError, match=r"must hold at least 3 observations, got 2$"):
+            call(self._X[:2], None)
+        call(self._X[:2], 0.7)
+        call(self._X[:3], None)
+
     def test_check_helpers_return_plain_numbers(self):
         assert lqmath.check_finite(np.float64(0.25), "mu0") == 0.25
         assert type(lqmath.check_finite(np.int64(2), "mu0")) is float

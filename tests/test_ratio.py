@@ -466,8 +466,7 @@ class TestStackedDriver:
     def test_1samp_rows_equal_single_calls(self, q):
         xs, _ = self._datasets()
         seeds = list(range(40, 45))
-        stacked = ratio_test._test((np.stack(xs),), (np.array(self.MU0),), ratio_test._batch_statistic_1samp,
-                                   q, 60, seeds, mlqe.DEFAULT_CONFIG)
+        stacked = ratio_test._test((np.stack(xs),), np.array(self.MU0), None, q, 60, seeds, mlqe.DEFAULT_CONFIG)
         single = [lqrt.lqrtest_1samp(x, m, q=q, bootstrap=60, seed=s) for x, m, s in zip(xs, self.MU0, seeds)]
         assert [self._fields(o) for o in stacked] == [self._fields(o) for o in single]
         if q is None:
@@ -478,8 +477,7 @@ class TestStackedDriver:
     def test_ind_rows_equal_single_calls(self, q, equal_var):
         xs, ys = self._datasets()
         seeds = list(range(50, 55))
-        stacked = ratio_test._test((np.stack(xs), np.stack(ys)), (None, None), ratio_test._ind_statistic(equal_var),
-                                   q, 60, seeds, mlqe.DEFAULT_CONFIG)
+        stacked = ratio_test._test((np.stack(xs), np.stack(ys)), None, equal_var, q, 60, seeds, mlqe.DEFAULT_CONFIG)
         single = [lqrt.lqrtest_ind(x, y, equal_var=equal_var, q=q, bootstrap=60, seed=s)
                   for x, y, s in zip(xs, ys, seeds)]
         assert [self._fields(o) for o in stacked] == [self._fields(o) for o in single]
@@ -489,10 +487,20 @@ class TestStackedDriver:
     def test_stacked_lqrtest_is_the_adaptive_test_of_each_row(self):
         xs, ys = self._datasets()
         seeds = [np.random.SeedSequence(9, spawn_key=(r,)) for r in range(5)]
-        got = ratio_test._stacked_lqrtest((np.stack(xs),), True, 40, seeds)
+        got = ratio_test._test((np.stack(xs),), np.zeros(5), True, None, 40, seeds, mlqe.DEFAULT_CONFIG)
         want = [lqrt.lqrtest_1samp(x, 0.0, bootstrap=40, seed=np.random.SeedSequence(9, spawn_key=(r,)))
                 for r, x in enumerate(xs)]
         assert got == want
+
+    def test_stacked_q_choice_is_each_rows_last_minimum(self):
+        # one argmin over all rows; a tie goes to the largest q, as a scan keeping the last minimum does
+        rng = np.random.default_rng(12)
+        objectives = rng.integers(0, 4, size=(200, len(lqrt.Q_GRID))).astype(float)
+        objectives[::7] = np.inf
+        objectives[1::7, 10:] = np.inf
+        want = [max(i for i, v in enumerate(row) if v == min(row)) for row in objectives.tolist()]
+        assert ratio_test._best_q(objectives).tolist() == want
+        assert [int(ratio_test._best_q(row)) for row in objectives] == want
 
     def test_per_row_q_likelihood_matches_scalar_rows(self):
         xs, _ = self._datasets()
