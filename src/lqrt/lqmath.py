@@ -91,14 +91,25 @@ def lq_log(u, q: float):
     return out if out.ndim else float(out)
 
 
-def _log_pdf(x, mu, sigma2):
-    # normal_log_pdf without the sigma2 check, for callers that floor sigma2
-    return -0.5 * np.log(2.0 * np.pi * sigma2) - (np.asarray(x, dtype=float) - mu) ** 2 / (2.0 * sigma2)
+def _log_pdf(x, mu, sigma2, out=None, sq=None):
+    # normal_log_pdf without the sigma2 check, for callers that floor sigma2, written into out (a new
+    # array when None); sq, when given, is (x - mu)**2 already computed
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(x.shape, np.shape(mu), np.shape(sigma2)))
+    if sq is None:
+        sq = np.square(np.subtract(x, mu, out=out), out=out)
+    np.divide(sq, 2.0 * sigma2, out=out)
+    return np.subtract(-0.5 * np.log(2.0 * np.pi * sigma2), out, out=out)
 
 
-def _weight(x, mu, sigma2, q):
-    # lq_weight without the sigma2 check: the fixed-point driver's per-iteration kernel
-    return np.exp((1.0 - q) * _log_pdf(x, mu, sigma2))
+def _weight(x, mu, sigma2, q, out=None, sq=None):
+    # lq_weight without the sigma2 check, in out as for _log_pdf: the fixed-point driver's per-iteration kernel
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(mu), np.shape(sigma2), np.shape(q)))
+    z = _log_pdf(x, mu, sigma2, out, sq)
+    np.multiply(1.0 - q, z, out=z)
+    return np.exp(z, out=z)
 
 
 def normal_log_pdf(x, mu, sigma2):
@@ -150,15 +161,22 @@ def lq_likelihood(sample, mu, sigma2, q):
     return out if np.ndim(out) else float(out)
 
 
+def _mu_derivatives(x, mu, sigma2, q):
+    # the first and second mu-derivatives of lq_log(f(x|mu,sigma2)), from one weight evaluation
+    _check_sigma2(sigma2)
+    x = np.asarray(x, dtype=float)
+    w = _weight(x, mu, sigma2, q)
+    z = (x - mu) / sigma2
+    return w * z, w * ((1.0 - q) * z ** 2 - 1.0 / sigma2)
+
+
 def lq_score_mu(x, mu, sigma2, q):
     """First mu-derivative of lq_log(f(x|mu,sigma2)): weight times Gaussian score."""
-    out = lq_weight(x, mu, sigma2, q) * ((np.asarray(x, dtype=float) - mu) / sigma2)
+    out = _mu_derivatives(x, mu, sigma2, q)[0]
     return out if np.ndim(out) else float(out)
 
 
 def lq_curvature_mu(x, mu, sigma2, q):
     """Second mu-derivative of lq_log(f(x|mu,sigma2))."""
-    x = np.asarray(x, dtype=float)
-    z2 = ((x - mu) / sigma2) ** 2
-    out = lq_weight(x, mu, sigma2, q) * ((1.0 - q) * z2 - 1.0 / sigma2)
+    out = _mu_derivatives(x, mu, sigma2, q)[1]
     return out if np.ndim(out) else float(out)

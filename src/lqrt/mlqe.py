@@ -134,30 +134,43 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
     mean_groups = [[k for k, i in enumerate(mean_of) if i == j] for j in range(max(mean_of) + 1)]
     var_groups = [[k for k, i in enumerate(var_of) if i == j] for j in range(max(var_of) + 1)]
 
+    # With the mean pinned, the map reads the data only through the squared
+    # deviations from it, so those are computed once and stand in for the data.
+    pinned, data = [], blocks
+    if pinned_mu is not None:
+        pinned = [np.broadcast_to(np.asarray(pinned_mu, dtype=float), (B,)).astype(float, copy=True)]
+        data = [(x - pinned[0][:, None]) ** 2 for x in blocks]
+
     def update(xs, w, sw, mus):
-        # weighted means (unless pinned), then weighted variances about them
-        if pinned_mu is None:
+        # weighted means, then weighted variances about them; xs holds squared deviations when pinned
+        if pinned:
+            dev = [(wk * d).sum(axis=1) for wk, d in zip(w, xs)]
+        else:
             sums = [(wk * xk).sum(axis=1) for wk, xk in zip(w, xs)]
             mus = [_pooled(sums, sw, g) for g in mean_groups]
-        dev = [(wk * (xk - mus[i][:, None]) ** 2).sum(axis=1) for wk, xk, i in zip(w, xs, mean_of)]
+            dev = [(wk * (xk - mus[i][:, None]) ** 2).sum(axis=1) for wk, xk, i in zip(w, xs, mean_of)]
         return mus, [_pooled(dev, sw, g) for g in var_groups]
 
     # The start is the same update with unit weights: the maximum-likelihood fit.
-    pinned = [] if pinned_mu is None else [
-        np.broadcast_to(np.asarray(pinned_mu, dtype=float), (B,)).astype(float, copy=True)
-    ]
-    means, s2 = update(blocks, [1.0] * len(blocks), [float(x.shape[1]) for x in blocks], pinned)
+    means, s2 = update(data, [1.0] * len(blocks), [float(x.shape[1]) for x in blocks], pinned)
     clipped = functools.reduce(np.logical_or, [v < floor for v in s2])
     s2 = [np.maximum(v, floor) for v in s2]
     iterations = np.zeros(B, dtype=np.int64)
     converged = np.zeros(B, dtype=bool)
 
     # Rows still iterating are kept compact: their ids, data, parameters, q
-    # and clip flags.  A row that finishes is written out and dropped.
-    idx, xa, mu_a, s2_a, clip_a = np.arange(B), blocks, means, s2, clipped.copy()
+    # and clip flags.  A row that finishes is written out and dropped.  Each
+    # block's weights are built in one buffer, whose leading rows are the
+    # rows still iterating.
+    idx, xa, mu_a, s2_a, clip_a = np.arange(B), list(data), means, s2, clipped.copy()
+    del data  # so that a pinned fit's squared deviations are freed as their rows finish
+    buffers = [np.empty(x.shape) for x in blocks]
     for step in range(1, cfg.max_iter + 1):
         # the floor keeps every variance positive, so the weights skip lq_weight's check
-        w = [_weight(x, mu_a[i][:, None], s2_a[j][:, None], q_a) for x, i, j in zip(xa, mean_of, var_of)]
+        w = [
+            _weight(x, mu_a[i][:, None], s2_a[j][:, None], q_a, buf[:len(idx)], x if pinned else None)
+            for x, buf, i, j in zip(xa, buffers, mean_of, var_of)
+        ]
         sw = [wk.sum(axis=1) for wk in w]
         stuck = functools.reduce(np.logical_or, [s == 0.0 for s in sw])
         any_stuck = stuck.any()
@@ -165,7 +178,6 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
             for s in sw:
                 s[stuck] = 1.0
         mu_new, s2_new = update(xa, w, sw, mu_a)
-        del w  # as large as the data; free it before the next weights are built
         clip_a |= functools.reduce(np.logical_or, [v < floor for v in s2_new])
         s2_new = [np.maximum(v, floor) for v in s2_new]
         if any_stuck:
@@ -198,7 +210,9 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
             if finished.all():
                 break
             left = ~finished
-            idx, xa, clip_a = idx[left], [x[left] for x in xa], clip_a[left]
+            idx, clip_a = idx[left], clip_a[left]
+            for k in range(len(xa)):
+                xa[k] = xa[k][left]  # block by block: beside the weight buffers, one block is held twice at most
             mu_new, s2_new = [m[left] for m in mu_new], [v[left] for v in s2_new]
             if per_row_q:
                 q_a = q_a[left]

@@ -9,13 +9,13 @@ over a grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mlqe
-from .lqmath import (_paired_differences, as_sample, check_count, check_finite, check_q, lq_curvature_mu,
-                     lq_likelihood, lq_score_mu)
+from .lqmath import _mu_derivatives, _paired_differences, as_sample, check_count, check_finite, check_q, lq_likelihood
 from .mlqe import DEFAULT_CONFIG, FitConfig
 
 __all__ = [
@@ -149,6 +149,118 @@ def statistic_ind_unequal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -
     return float(_batch_statistic_ind_unequal(_stack(q, x=x, y=y), (None, None), check_q(q), cfg)[0][0])
 
 
+# NumPy's SeedSequence and PCG64 constants (numpy/random/bit_generator.pyx,
+# pcg64.h), for drawing the resamples of many substreams in one pass.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32 = 0xFFFFFFFF
+
+
+def _split128(values) -> tuple[np.ndarray, np.ndarray]:
+    # Python integers below 2**128 as (high, low) uint64 halves
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & ((1 << 64) - 1) for v in values], dtype=np.uint64))
+
+
+def _mulhi64(a, b):
+    # the high 64 bits of the 128-bit products of uint64 arrays, from 32-bit halves
+    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
+    cross1, cross2 = a1 * b0, a0 * b1
+    carry = ((a0 * b0) >> 32) + (cross1 & _LOW32) + (cross2 & _LOW32)
+    return a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (carry >> 32)
+
+
+def _mul128(ah, al, bh, bl):
+    # (ah:al) * (bh:bl) mod 2**128, on uint64 halves
+    return _mulhi64(al, bl) + al * bh + ah * bl, al * bl
+
+
+def _add128(ah, al, bh, bl):
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+def _child_seed_words(ss: np.random.SeedSequence, reps: int) -> tuple[np.ndarray, np.ndarray]:
+    """generate_state(4, uint64) of the next `reps` children ss.spawn would make, without spawning.
+
+    A child's pool is the parent's pool mixed with one more entropy word,
+    its spawn index, under the hash constant the parent's own mixing left
+    off at.  Returns the (reps, 4) words and a flag for each child whose
+    index needs more than 32 bits, which this pass does not mix.
+    """
+    pool = np.asarray(ss.pool, dtype=np.uint32)
+    size = pool.size
+    coerce = np.random.bit_generator._coerce_to_uint32_array
+    entropy_words = max(len(coerce(ss.entropy)), size) + len(coerce(ss.spawn_key))
+    # the parent's mixing made size * entropy_words hashmix calls; the child's
+    # word is hashed into pool word d with the constant of call number that + d
+    calls = size * entropy_words
+    hash_a = np.array([_INIT_A * pow(_MULT_A, calls + d, 1 << 32) & _LOW32 for d in range(size + 1)], dtype=np.uint32)
+    index = ss.n_children_spawned + np.arange(reps, dtype=np.uint64)
+    mixed = ((index & _LOW32).astype(np.uint32)[:, None] ^ hash_a[:-1]) * hash_a[1:]
+    mixed ^= mixed >> 16
+    child = pool * np.uint32(_MIX_MULT_L) - mixed * np.uint32(_MIX_MULT_R)
+    child ^= child >> 16
+    # generate_state: eight words hashed from the pool, read cyclically
+    hash_b = np.array([_INIT_B * pow(_MULT_B, j, 1 << 32) & _LOW32 for j in range(9)], dtype=np.uint32)
+    state = (child[:, np.arange(8) % size] ^ hash_b[:-1]) * hash_b[1:]
+    state ^= state >> 16
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64), index > _LOW32
+
+
+def _pcg64_words(seed_words: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` 32-bit outputs of PCG64 seeded with each row of (rows, 4) seed words.
+
+    This is Generator.integers' 32-bit stream: each 64-bit XSL-RR output
+    gives its low half, then its high half.  Row r's stream is split into
+    L ~ sqrt(steps) interleaved lanes, each advanced L states at a time by
+    a jump-ahead, so the loop runs about sqrt(steps) times over (rows, L)
+    arrays whatever the row count.
+    """
+    s0, s1, s2, s3 = seed_words.T
+    inc_hi, inc_lo = (s2 << 1) | (s3 >> 63), (s3 << 1) | 1
+    mult = _split128([_PCG_MULT])
+    # set-seed: state 0, one step, add the seed, one step
+    hi, lo = _add128(*_mul128(*_add128(inc_hi, inc_lo, s0, s1), *mult), inc_hi, inc_lo)
+    steps = -(-count // 2)
+    lanes = math.isqrt(steps - 1) + 1
+    # A_m = M^m and C_m = 1 + M + ... + M^(m-1): m steps take state s to A_m s + C_m inc
+    powers, sums = [1], [0]
+    for _ in range(lanes):
+        powers.append(powers[-1] * _PCG_MULT % (1 << 128))
+        sums.append((sums[-1] * _PCG_MULT + 1) % (1 << 128))
+    inc = (inc_hi[:, None], inc_lo[:, None])
+    # lane l starts l + 1 steps on, where the first output is taken
+    state = _add128(*_mul128(hi[:, None], lo[:, None], *_split128(powers[1:])), *_mul128(*inc, *_split128(sums[1:])))
+    jump, jump_inc = _split128(powers[-1:]), _mul128(*inc, *_split128(sums[-1:]))
+    iters = -(-steps // lanes)
+    out = np.empty((len(seed_words), iters, lanes), dtype="<u8")
+    for t in range(iters):
+        if t:
+            state = _add128(*_mul128(*state, *jump), *jump_inc)
+        hi, lo = state
+        x, rot = hi ^ lo, hi >> 58
+        out[:, t] = (x >> rot) | (x << ((64 - rot) & 63))
+    return out.reshape(len(seed_words), -1).view("<u4")[:, :count]
+
+
+def _bounded(words: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Lemire's bounded integers in [0, n) from (rows, n) 32-bit words, written to out.
+
+    Returns a flag for each row holding a word that Generator.integers
+    rejects and redraws (probability about n / 2**32 per word); those rows
+    take more words than this pass gave them.
+    """
+    # the leftover (u * n) mod 2**32 first, then the index (u * n) >> 32, both in out
+    np.multiply(words, n, out=out, dtype=np.int64)
+    np.bitwise_and(out, _LOW32, out=out)
+    redraw = (out < (2**32 - n) % n).any(axis=1)
+    np.multiply(words, n, out=out, dtype=np.int64)
+    np.right_shift(out, 32, out=out)
+    return redraw
+
+
 def _resample_indices(seeds, reps: int, sizes: tuple[int, ...]) -> list[np.ndarray]:
     """Flat index blocks for `reps` resamples of each of len(seeds) stacked datasets.
 
@@ -156,13 +268,31 @@ def _resample_indices(seeds, reps: int, sizes: tuple[int, ...]) -> list[np.ndarr
     substream of seeds[r]; an entry indexes the flattened (R, n) sample.
     The substreams depend only on (seed, repetition index), so the
     resamples do not depend on evaluation order or on the other datasets.
+    Row i of dataset r is what np.random.default_rng(child).integers(0, n,
+    size=n) gives, one call per block, for the i-th child that
+    seeds[r].spawn would make next; a SeedSequence seed is only read.  All
+    rows are drawn in one vectorized pass; a row the pass cannot
+    reproduce, after a rejected word or with a spawn index past 32 bits,
+    is drawn by the per-child generator.
     """
-    blocks = [np.empty((len(seeds) * reps, n), dtype=np.intp) for n in sizes]
-    children = (child for seed in seeds for child in _seed_sequence(seed).spawn(reps))
-    for b, child in enumerate(children):
+    seqs = [_seed_sequence(seed) for seed in seeds]
+    words, redo = zip(*(_child_seed_words(ss, reps) for ss in seqs))
+    redo = np.concatenate(redo)
+    stream = _pcg64_words(np.concatenate(words), sum(sizes))
+    blocks, start = [], 0
+    for n in sizes:
+        blocks.append(np.empty((len(seeds) * reps, n), dtype=np.intp))
+        redo |= _bounded(stream[:, start:start + n], n, blocks[-1])
+        start += n
+    del stream
+    for row in np.flatnonzero(redo).tolist():
+        ss = seqs[row // reps]
+        child = np.random.SeedSequence(
+            ss.entropy, spawn_key=ss.spawn_key + (ss.n_children_spawned + row % reps,), pool_size=ss.pool_size
+        )
         rng = np.random.default_rng(child)
         for block, n in zip(blocks, sizes):
-            block[b] = rng.integers(0, n, size=n)
+            block[row] = rng.integers(0, n, size=n)
     for block, n in zip(blocks, sizes):
         block += np.repeat(np.arange(len(seeds)) * n, reps)[:, None]
     return blocks
@@ -292,9 +422,9 @@ def _sandwich_objectives(xs: np.ndarray, cfg: FitConfig) -> np.ndarray:
     block = np.broadcast_to(xs[:, None, :], (reps, len(Q_GRID), n)).reshape(-1, n)
     mu, s2, _, _, _ = mlqe.batch_fit_normal(block, qs, cfg)
 
-    args = (block, mu[:, None], s2[:, None], qs[:, None])
-    b = np.mean(lq_score_mu(*args) ** 2, axis=1)
-    mean_curv = np.mean(lq_curvature_mu(*args), axis=1)
+    score, curvature = _mu_derivatives(block, mu[:, None], s2[:, None], qs[:, None])
+    b = np.mean(score ** 2, axis=1)
+    mean_curv = np.mean(curvature, axis=1)
     objective = np.full(qs.size, np.inf)
     ok = mean_curv != 0.0
     a = 1.0 / mean_curv[ok]

@@ -208,6 +208,21 @@ class TestBroadcastBlocks:
         rows = np.array([lqmath.normal_log_pdf(xs[b], mu[b, 0], s2[b, 0]) for b in range(xs.shape[0])])
         assert block.tobytes() == rows.tobytes()
 
+    def test_kernels_are_the_written_formulas(self):
+        # the kernels write into one buffer but keep the formulas' operations and order, so their bits
+        xs, mu, s2, q = self._block()
+        log_pdf = -0.5 * np.log(2.0 * np.pi * s2) - (xs - mu) ** 2 / (2.0 * s2)
+        w = np.exp((1.0 - q) * log_pdf)
+        z = (xs - mu) / s2
+        assert lqmath.normal_log_pdf(xs, mu, s2).tobytes() == log_pdf.tobytes()
+        assert lqmath.lq_weight(xs, mu, s2, q).tobytes() == w.tobytes()
+        buffer = np.full((9, 30), np.nan)
+        assert lqmath._weight(xs, mu, s2, q, buffer[:7], (xs - mu) ** 2).tobytes() == w.tobytes()
+        assert lqmath._weight(xs, mu, s2, q, buffer[:7]).tobytes() == w.tobytes()
+        assert lqmath.lq_score_mu(xs, mu, s2, q).tobytes() == (w * z).tobytes()
+        curvature = w * ((1.0 - q) * ((xs - mu) / s2) ** 2 - 1.0 / s2)
+        assert lqmath.lq_curvature_mu(xs, mu, s2, q).tobytes() == curvature.tobytes()
+
     @pytest.mark.parametrize("q", [0.6, 1.0])
     def test_lq_likelihood_sums_each_row(self, q):
         xs, mu, s2, _ = self._block()

@@ -502,6 +502,18 @@ class TestStackedDriver:
         assert ratio_test._best_q(objectives).tolist() == want
         assert [int(ratio_test._best_q(row)) for row in objectives] == want
 
+    def test_grid_objectives_are_the_sandwich_of_the_public_derivatives(self):
+        # one weight evaluation serves score and curvature; the objectives keep their bits
+        xs, _ = self._datasets()
+        block = np.repeat(np.stack(xs), len(lqrt.Q_GRID), axis=0)
+        qs = np.tile(lqrt.Q_GRID, len(xs))
+        mu, s2, *_ = mlqe.batch_fit_normal(block, qs)
+        args = (block, mu[:, None], s2[:, None], qs[:, None])
+        b = np.mean(lqmath.lq_score_mu(*args) ** 2, axis=1)
+        a = 1.0 / np.mean(lqmath.lq_curvature_mu(*args), axis=1)
+        got = ratio_test._sandwich_objectives(np.stack(xs), mlqe.DEFAULT_CONFIG)
+        assert got.tobytes() == (a * b * a).reshape(len(xs), -1).tobytes()
+
     def test_per_row_q_likelihood_matches_scalar_rows(self):
         xs, _ = self._datasets()
         block = np.stack(xs)
@@ -511,3 +523,103 @@ class TestStackedDriver:
         got = lqmath.lq_likelihood(block, mu, s2, q)
         want = np.array([lqmath.lq_likelihood(block[r], mu[r, 0], s2[r, 0], q[r, 0]) for r in range(5)])
         assert got.tobytes() == want.tobytes()
+
+
+def _per_child_indices(seeds, reps, sizes):
+    # the reference: one spawned child and one default_rng per resample, the blocks in order
+    blocks = [np.empty((len(seeds) * reps, n), dtype=np.intp) for n in sizes]
+    children = [child for ss in seeds for child in ss.spawn(reps)]
+    for row, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        for block, n in zip(blocks, sizes):
+            block[row] = rng.integers(0, n, size=n)
+    for block, n in zip(blocks, sizes):
+        block += np.repeat(np.arange(len(seeds)) * n, reps)[:, None]
+    return blocks
+
+
+def _spawned(ss, k):
+    ss.spawn(k)
+    return ss
+
+
+class TestResampleStream:
+    """The one-pass resampler reproduces NumPy's per-child Generator streams bit for bit."""
+
+    SEEDS = {
+        "int": lambda: np.random.SeedSequence(20240917),
+        "six_words": lambda: np.random.SeedSequence([3, 1, 4, 1, 5, 9]),
+        "os_entropy": lambda: np.random.SeedSequence(),
+        "spawn_key": lambda: np.random.SeedSequence(77, spawn_key=(2, 5)),
+        "spawned_before": lambda: _spawned(np.random.SeedSequence(8), 37),
+        "pool_size_8": lambda: np.random.SeedSequence(123, pool_size=8),
+    }
+
+    @staticmethod
+    def _check(make_seeds, reps, sizes):
+        got = ratio_test._resample_indices(make_seeds(), reps, sizes)
+        want = _per_child_indices(make_seeds(), reps, sizes)
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+    @pytest.mark.parametrize("kind", sorted(SEEDS))
+    @pytest.mark.parametrize("sizes", [(50,), (7, 10)])
+    def test_seed_forms(self, kind, sizes):
+        ss = self.SEEDS[kind]()
+        state = (ss.entropy, ss.spawn_key, ss.n_children_spawned)
+        got = ratio_test._resample_indices([ss], 40, sizes)
+        assert (ss.entropy, ss.spawn_key, ss.n_children_spawned) == state  # read, not advanced
+        want = _per_child_indices([ss], 40, sizes)
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+    def test_stacked_mixed_seeds_and_odd_blocks(self):
+        # odd n: the spare 32-bit half of x's last output starts y's draws
+        makers = [self.SEEDS[k] for k in ("pool_size_8", "int", "spawned_before", "six_words")]
+        self._check(lambda: [m() for m in makers], 23, (31, 17))
+        self._check(lambda: [m() for m in makers], 5, (2, 3))
+
+    def test_plain_seeds_take_a_fresh_sequence(self):
+        got = ratio_test._resample_indices([5, [6, 7]], 9, (13,))
+        want = _per_child_indices([np.random.SeedSequence(5), np.random.SeedSequence([6, 7])], 9, (13,))
+        assert got[0].tobytes() == want[0].tobytes()
+
+    def test_spawn_index_at_the_32_bit_limit(self):
+        # the last one-word spawn indices take the pass; from 2**32 on, the index takes two words and
+        # the row the per-child generator
+        ss = np.random.SeedSequence(9, n_children_spawned=2**32 - 3)
+        assert ratio_test._child_seed_words(ss, 6)[1].tolist() == [False] * 3 + [True] * 3
+        self._check(lambda: [np.random.SeedSequence(9, n_children_spawned=2**32 - 3)], 2, (7, 10))
+        # SeedSequence.spawn hangs once its count would reach 2**32 (NumPy 2.4), so the reference builds
+        # the children it documents
+        children = [np.random.SeedSequence(9, spawn_key=(2**32 - 3 + i,)) for i in range(6)]
+        rows = [[rng.integers(0, n, size=n).tolist() for n in (7, 10)] for rng in map(np.random.default_rng, children)]
+        got = ratio_test._resample_indices([ss], 6, (7, 10))
+        assert [got[0].tolist(), got[1].tolist()] == [[r[0] for r in rows], [r[1] for r in rows]]
+
+    def test_lemire_rejection_flags_the_row(self):
+        # u = 0 with n = 3: leftover 0 is below the threshold (2**32 - 3) % 3 = 1, so NumPy redraws
+        words = np.array([[5, 0, 7], [5, 9, 7], [2**32 - 1, 2**31, 1]], dtype=np.uint32)
+        out = np.empty((3, 3), dtype=np.intp)
+        assert ratio_test._bounded(words, 3, out).tolist() == [True, False, False]
+        assert out[1:].tolist() == [[0, 0, 0], [2, 1, 0]]
+
+    def test_natural_rejection_is_redrawn(self):
+        # seed 541's child 343 draws a word that Lemire's step rejects at n = 400
+        ss = np.random.SeedSequence(541)
+        words, _ = ratio_test._child_seed_words(ss, 344)
+        out = np.empty((344, 400), dtype=np.intp)
+        assert np.flatnonzero(ratio_test._bounded(ratio_test._pcg64_words(words, 400), 400, out)).tolist() == [343]
+        self._check(lambda: [np.random.SeedSequence(541)], 344, (400,))
+
+    def test_every_row_redrawn_by_the_fallback(self, monkeypatch):
+        bounded = ratio_test._bounded
+        monkeypatch.setattr(ratio_test, "_bounded", lambda words, n, out: bounded(words, n, out) | True)
+        self._check(lambda: [self.SEEDS["spawned_before"](), self.SEEDS["spawn_key"]()], 6, (9, 4))
+
+    def test_same_seed_sequence_gives_the_same_test(self):
+        rng = np.random.default_rng(314)
+        x = np.concatenate([rng.normal(0.3, 1, 45), rng.normal(0.3, np.sqrt(50), 5)])
+        ss = np.random.SeedSequence(5)
+        first = lqrt.lqrtest_1samp(x, 0.1, q=0.7, bootstrap=200, seed=ss)
+        assert lqrt.lqrtest_1samp(x, 0.1, q=0.7, bootstrap=200, seed=ss) == first
+        assert ss.n_children_spawned == 0
+        assert lqrt.lqrtest_1samp(x, 0.1, q=0.7, bootstrap=200, seed=np.random.SeedSequence(5)) == first
