@@ -47,11 +47,12 @@ TESTS_BY_SETUP = {
 # Default contamination grid; the mixture model requires eps < 0.5.
 DEFAULT_EPS_GRID = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
-# Largest block, in float64 elements, that one stacked lqrt call may build:
-# replicates x max(bootstrap, q-grid rows) x the row width of all samples.
-# run_scenario stacks as many whole replicates as fit, at least one, so its
-# memory does not grow with reps.
-STACK_ELEMENTS = 2**16
+# Most resampled elements that one stacked lqrt call may index: replicates x
+# max(bootstrap, q-grid rows) x the row width of all samples.  The call holds
+# an index of at most 4 bytes per element and builds its float rows a window
+# at a time (mlqe.WINDOW_ELEMENTS).  run_scenario stacks as many whole
+# replicates as fit, at least one, so its memory does not grow with reps.
+STACK_ELEMENTS = 2**19
 
 
 @dataclass(frozen=True)
@@ -240,7 +241,7 @@ def run_scenario(
                 data_ss, boot_ss = np.random.SeedSequence(seed, spawn_key=(e, r)).spawn(2)
                 yield e, _generate(scenario, eps, means, np.random.default_rng(data_ss)), boot_ss
 
-    # whole replicates per call, so a stacked lqrt call's largest block stays within STACK_ELEMENTS
+    # whole replicates per call, so a stacked lqrt call indexes at most STACK_ELEMENTS elements
     width = scenario.n * (1 if scenario.setup in ("one_sample", "paired") else 2)
     per_call = max(1, STACK_ELEMENTS // (max(bootstrap, len(ratio_test.Q_GRID)) * width))
     rejections = [0] * len(eps_grid)

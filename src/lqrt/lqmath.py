@@ -131,11 +131,11 @@ def lq_weight(x, mu, sigma2, q):
 
 
 def _lq_sum(logpdf, q: float):
-    # sum of lq_log over the last axis, given the log densities
+    # sum of lq_log over the last axis, given the log densities, which it overwrites
     if q == 1.0:
         return logpdf.sum(axis=-1)
     omq = 1.0 - q
-    return np.expm1(omq * logpdf).sum(axis=-1) / omq
+    return np.expm1(np.multiply(omq, logpdf, out=logpdf), out=logpdf).sum(axis=-1) / omq
 
 
 def lq_likelihood(sample, mu, sigma2, q):
@@ -153,11 +153,14 @@ def lq_likelihood(sample, mu, sigma2, q):
     if np.ndim(q) == 0:
         out = _lq_sum(logpdf, q)
     else:
+        # two groups: the log form where q == 1, one expm1 pass against each row's own 1 - q elsewhere
         q = np.asarray(q, dtype=float)[:, 0]
         out = np.empty(logpdf.shape[0])
-        for value in np.unique(q):
-            rows = q == value
-            out[rows] = _lq_sum(logpdf[rows], float(value))
+        log_rows = q == 1.0
+        out[log_rows] = logpdf[log_rows].sum(axis=-1)
+        rest = ~log_rows if log_rows.any() else slice(None)
+        omq, terms = 1.0 - q[rest], logpdf[rest]
+        out[rest] = np.expm1(np.multiply(omq[:, None], terms, out=terms), out=terms).sum(axis=-1) / omq
     return out if np.ndim(out) else float(out)
 
 

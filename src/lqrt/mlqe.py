@@ -50,6 +50,54 @@ VARIANCE_FLOOR = float(np.finfo(np.float64).eps)
 # Scale guard when normalizing mean steps by sigma on degenerate fits.
 _MEAN_SCALE_FLOOR = 1e-12
 
+# The fixed-point loop iterates the rows of a fit in a window of at most this
+# many float64 values of data (one row at least), and holds three buffers of
+# that size.  A single pass over many rows takes a window of them at a time,
+# or an eighth of one where it builds several temporaries (_slices).
+WINDOW_ELEMENTS = 2**16
+
+
+class _Gather:
+    """A (B, n) float block built a few rows at a time: row i is base[offset[i] + index[i]].
+
+    A part is a 1-D base, a (B, n_k) index block of small integers and a
+    (B,) offset, so each row reads its own stretch of the base.  Several
+    parts sit side by side.  Only .shape and row slicing are offered, so no
+    more rows are built than are asked for.
+    """
+
+    def __init__(self, *parts):
+        self.parts = parts
+        self.shape = (len(parts[0][1]), sum(index.shape[1] for _, index, _ in parts))
+
+    @classmethod
+    def of_rows(cls, block, rows):
+        # whole rows of a 2-D block, row i being block[rows[i]]
+        n = block.shape[1]
+        return cls((block.ravel(), np.broadcast_to(np.arange(n), (len(rows), n)), rows * n))
+
+    def __getitem__(self, rows):
+        got = [base[index[rows] + offset[rows, None]] for base, index, offset in self.parts]
+        return got[0] if len(got) == 1 else np.concatenate(got, axis=1)
+
+
+def _joined(*blocks):
+    # blocks side by side as one _Gather of their parts; an array joins as a gather of its own rows
+    parts = (b if isinstance(b, _Gather) else _Gather.of_rows(b, np.arange(len(b))) for b in blocks)
+    return _Gather(*(part for g in parts for part in g.parts))
+
+
+def _slices(start: int, stop: int, width: int, share: int = 8) -> list[slice]:
+    """Consecutive row slices from start to stop, each of at most WINDOW_ELEMENTS / share values (one row at least).
+
+    A single pass over many rows takes its rows in these slices: share 1
+    where it holds about two slices' worth of temporaries (the resampling,
+    the likelihoods), 8 where it holds more or fills a fixed-point buffer,
+    so that none outgrows the fixed-point loop's three buffers.
+    """
+    step = max(1, WINDOW_ELEMENTS // share // width)
+    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -125,51 +173,79 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
     (the previous iterate is kept and the row counts as clipped), or at
     max_iter.  Returns (means, variances, iterations, converged, clipped) with
     means and variances as lists of (B,) arrays.
+
+    Rows iterate in a window of at most WINDOW_ELEMENTS values (one row at
+    least).  Once half the window has finished, the next rows take the freed
+    slots.  A row's start, step count and stop are its own, so the window
+    changes no bit of the result.  A block may be a `_Gather`: only the rows
+    in the window are ever built.
     """
-    blocks = [np.asarray(x, dtype=float) for x in blocks]
+    blocks = [x if isinstance(x, _Gather) else np.asarray(x, dtype=float) for x in blocks]
     B = blocks[0].shape[0]
-    q_a = _q_column(q, B)
-    per_row_q = np.ndim(q_a) > 0
-    floor, tol = VARIANCE_FLOOR, cfg.tol
+    q_col = _q_column(q, B)
+    per_row_q = np.ndim(q_col) > 0
+    floor, tol, pinned = VARIANCE_FLOOR, cfg.tol, pinned_mu is not None
     mean_groups = [[k for k, i in enumerate(mean_of) if i == j] for j in range(max(mean_of) + 1)]
     var_groups = [[k for k, i in enumerate(var_of) if i == j] for j in range(max(var_of) + 1)]
-
-    # With the mean pinned, the map reads the data only through the squared
-    # deviations from it, so those are computed once and stand in for the data.
-    pinned, data = [], blocks
-    if pinned_mu is not None:
-        pinned = [np.broadcast_to(np.asarray(pinned_mu, dtype=float), (B,)).astype(float, copy=True)]
-        data = [(x - pinned[0][:, None]) ** 2 for x in blocks]
-
-    def update(xs, w, sw, mus):
-        # weighted means, then weighted variances about them; xs holds squared deviations when pinned
-        if pinned:
-            dev = [(wk * d).sum(axis=1) for wk, d in zip(w, xs)]
-        else:
-            sums = [(wk * xk).sum(axis=1) for wk, xk in zip(w, xs)]
-            mus = [_pooled(sums, sw, g) for g in mean_groups]
-            dev = [(wk * (xk - mus[i][:, None]) ** 2).sum(axis=1) for wk, xk, i in zip(w, xs, mean_of)]
-        return mus, [_pooled(dev, sw, g) for g in var_groups]
-
-    # The start is the same update with unit weights: the maximum-likelihood fit.
-    means, s2 = update(data, [1.0] * len(blocks), [float(x.shape[1]) for x in blocks], pinned)
-    clipped = functools.reduce(np.logical_or, [v < floor for v in s2])
-    s2 = [np.maximum(v, floor) for v in s2]
+    means, s2 = [np.empty(B) for _ in mean_groups], [np.empty(B) for _ in var_groups]
+    if pinned:
+        means = [np.broadcast_to(np.asarray(pinned_mu, dtype=float), (B,)).astype(float, copy=True)]
     iterations = np.zeros(B, dtype=np.int64)
     converged = np.zeros(B, dtype=bool)
+    clipped = np.zeros(B, dtype=bool)
 
-    # Rows still iterating are kept compact: their ids, data, parameters, q
-    # and clip flags.  A row that finishes is written out and dropped.  Each
-    # block's weights are built in one buffer, whose leading rows are the
-    # rows still iterating.
-    idx, xa, mu_a, s2_a, clip_a = np.arange(B), list(data), means, s2, clipped.copy()
-    del data  # so that a pinned fit's squared deviations are freed as their rows finish
-    buffers = [np.empty(x.shape) for x in blocks]
-    for step in range(1, cfg.max_iter + 1):
+    def update(xs, w, sw, mus, products):
+        # weighted means, then weighted variances about them, each product formed
+        # in its block's `products` buffer; xs holds squared deviations when pinned
+        def weighted_sum(wk, values, out):
+            return np.multiply(wk, values, out=out).sum(axis=1)
+
+        if pinned:
+            dev = [weighted_sum(wk, d, out) for wk, d, out in zip(w, xs, products)]
+        else:
+            sums = [weighted_sum(wk, xk, out) for wk, xk, out in zip(w, xs, products)]
+            mus = [_pooled(sums, sw, g) for g in mean_groups]
+            dev = [
+                weighted_sum(wk, np.square(np.subtract(xk, mus[i][:, None], out=out), out=out), out)
+                for wk, xk, i, out in zip(w, xs, mean_of, products)
+            ]
+        return mus, [_pooled(dev, sw, g) for g in var_groups]
+
+    # Each block has three (window, n_k) buffers: the data of the rows in the
+    # window, compact in the leading rows, their weights, and a spare that holds
+    # products and the next compaction.  Ids, parameters, q, clip flags and the
+    # step each row entered after are kept compact beside them, in the order the
+    # rows entered.  A row that finishes is written out and dropped.
+    cap = min(B, max(1, WINDOW_ELEMENTS // sum(x.shape[1] for x in blocks)))
+    data, weights, spare = ([np.empty((cap, x.shape[1])) for x in blocks] for _ in range(3))
+
+    def enter(rows, at):
+        # Writes the rows' data to the data buffers from row `at` on and returns
+        # their start: the update with unit weights, the maximum-likelihood fit.
+        # With the mean pinned, the map reads the data only through the squared
+        # deviations from it, so those stand in for the data.
+        at = slice(at, at + rows.stop - rows.start)
+        xs = [d[at] for d in data]
+        mus = [means[0][rows]] if pinned else []
+        for x, slot in zip(blocks, xs):
+            for part in _slices(rows.start, rows.stop, x.shape[1]):
+                slot[part.start - rows.start:part.stop - rows.start] = x[part]
+            if pinned:
+                np.square(np.subtract(slot, mus[0][:, None], out=slot), out=slot)
+        mus, v = update(xs, [1.0] * len(xs), [float(x.shape[1]) for x in xs], mus, [s[at] for s in spare])
+        clip = functools.reduce(np.logical_or, [vk < floor for vk in v])
+        return mus, [np.maximum(vk, floor) for vk in v], clip
+
+    mu_a, s2_a, clip_a = enter(slice(0, cap), 0)
+    idx, start, entered, step = np.arange(cap), np.zeros(cap, dtype=np.int64), cap, 0
+    q_a = q_col[:cap] if per_row_q else q_col
+    while len(idx):
+        m, step = len(idx), step + 1
+        xa = [d[:m] for d in data]
         # the floor keeps every variance positive, so the weights skip lq_weight's check
         w = [
-            _weight(x, mu_a[i][:, None], s2_a[j][:, None], q_a, buf[:len(idx)], x if pinned else None)
-            for x, buf, i, j in zip(xa, buffers, mean_of, var_of)
+            _weight(x, mu_a[i][:, None], s2_a[j][:, None], q_a, buf[:m], x if pinned else None)
+            for x, buf, i, j in zip(xa, weights, mean_of, var_of)
         ]
         sw = [wk.sum(axis=1) for wk in w]
         stuck = functools.reduce(np.logical_or, [s == 0.0 for s in sw])
@@ -177,7 +253,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
         if any_stuck:
             for s in sw:
                 s[stuck] = 1.0
-        mu_new, s2_new = update(xa, w, sw, mu_a)
+        mu_new, s2_new = update(xa, w, sw, mu_a, [s[:m] for s in spare])
         clip_a |= functools.reduce(np.logical_or, [v < floor for v in s2_new])
         s2_new = [np.maximum(v, floor) for v in s2_new]
         if any_stuck:
@@ -190,33 +266,44 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
         done = functools.reduce(
             np.logical_and, [np.abs(new - old) / new < tol for new, old in zip(s2_new, s2_a)]
         )
-        if pinned_mu is None:
+        if not pinned:
             scale = np.maximum(np.sqrt(functools.reduce(np.maximum, s2_new)), _MEAN_SCALE_FLOOR)
             for new, old in zip(mu_new, mu_a):
                 done &= np.abs(new - old) / scale < tol
         if any_stuck:
             done &= ~stuck
 
-        finished = done | stuck
-        if step == cfg.max_iter:
-            finished[:] = True
+        finished = done | stuck if any_stuck else done
+        if step - start[0] == cfg.max_iter:
+            # the rows that entered first reach max_iter first
+            finished = finished | (start == start[0])
         if finished.any():
             rows = idx[finished]
             for par, new in zip(means + s2, mu_new + s2_new):
                 par[rows] = new[finished]
-            iterations[rows] = step
+            iterations[rows] = step - start[finished]
             converged[rows] = done[finished]
             clipped[rows] = clip_a[finished]
-            if finished.all():
-                break
-            left = ~finished
-            idx, clip_a = idx[left], clip_a[left]
-            for k in range(len(xa)):
-                xa[k] = xa[k][left]  # block by block: beside the weight buffers, one block is held twice at most
-            mu_new, s2_new = [m[left] for m in mu_new], [v[left] for v in s2_new]
+            left = np.flatnonzero(~finished)
+            idx, clip_a, start = idx[left], clip_a[left], start[left]
+            for k, x in enumerate(xa):
+                # the rows still iterating move to the spare, which becomes the data buffer
+                np.take(x, left, axis=0, out=spare[k][:len(left)], mode="clip")
+                data[k], spare[k] = spare[k], data[k]
+            mu_new, s2_new = [mu[left] for mu in mu_new], [v[left] for v in s2_new]
             if per_row_q:
                 q_a = q_a[left]
         mu_a, s2_a = mu_new, s2_new
+        if 2 * len(idx) <= cap and entered < B:
+            rows = slice(entered, min(B, entered + cap - len(idx)))
+            new_mu, new_s2, new_clip = enter(rows, len(idx))
+            mu_a = [np.concatenate(pair) for pair in zip(mu_a, new_mu)]
+            s2_a = [np.concatenate(pair) for pair in zip(s2_a, new_s2)]
+            idx, clip_a = np.concatenate([idx, np.arange(rows.start, rows.stop)]), np.concatenate([clip_a, new_clip])
+            start = np.concatenate([start, np.full(len(new_clip), step)])
+            if per_row_q:
+                q_a = np.concatenate([q_a, q_col[rows]])
+            entered = rows.stop
     return means, s2, iterations, converged, clipped
 
 

@@ -9,7 +9,7 @@ over a grid.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +71,18 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _column(value, rows: slice):
+    # a scalar as it is, or the rows of a (B,) array as a column against a block
+    return value if np.ndim(value) == 0 else value[rows, None]
+
+
 def _lik(xs, mu, sigma2, q):
-    # one Lq-likelihood per row of xs; mu and q may be scalars or (B,), sigma2 is (B,)
-    return lq_likelihood(xs, np.reshape(mu, (-1, 1)), sigma2[:, None], np.reshape(q, (-1, 1)) if np.ndim(q) else q)
+    # one Lq-likelihood per row of xs, an array or a lazy gather, a window of rows at a time
+    # (its rows and their log densities); mu and q may be scalars or (B,), sigma2 is (B,)
+    out = np.empty(xs.shape[0])
+    for rows in mlqe._slices(0, *xs.shape, share=1):
+        out[rows] = lq_likelihood(xs[rows], _column(mu, rows), sigma2[rows, None], _column(q, rows))
+    return out
 
 
 def _degenerate(*fits) -> np.ndarray:
@@ -104,7 +113,7 @@ def _batch_statistic_1samp(blocks, targets, q, cfg: FitConfig):
 def _batch_statistic_ind_equal(blocks, targets, q, cfg: FitConfig):
     xs, ys = blocks
     mx, my, s2, _, conv1, clip1 = mlqe.batch_fit_shared_variance(xs, ys, q, cfg)
-    pooled = np.concatenate([xs, ys], axis=1)
+    pooled = mlqe._joined(xs, ys)
     mu0, s20, _, conv0, clip0 = mlqe.batch_fit_normal(pooled, q, cfg)
     l1 = _lik(xs, mx, s2, q) + _lik(ys, my, s2, q)
     d = np.maximum(2.0 * (l1 - _lik(pooled, mu0, s20, q)), 0.0)
@@ -209,14 +218,27 @@ def _child_seed_words(ss: np.random.SeedSequence, reps: int) -> tuple[np.ndarray
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64), index > _LOW32
 
 
+@functools.lru_cache(maxsize=16)
+def _jump_table(lanes: int):
+    """M^m and C_m = 1 + M + ... + M^(m-1) for m = 1 .. lanes, each as uint64 halves.
+
+    m PCG64 steps take state s to M^m s + C_m inc.
+    """
+    powers, sums = [1], [0]
+    for _ in range(lanes):
+        powers.append(powers[-1] * _PCG_MULT % (1 << 128))
+        sums.append((sums[-1] * _PCG_MULT + 1) % (1 << 128))
+    return _split128(powers[1:]), _split128(sums[1:])
+
+
 def _pcg64_words(seed_words: np.ndarray, count: int) -> np.ndarray:
     """The first `count` 32-bit outputs of PCG64 seeded with each row of (rows, 4) seed words.
 
     This is Generator.integers' 32-bit stream: each 64-bit XSL-RR output
     gives its low half, then its high half.  Row r's stream is split into
-    L ~ sqrt(steps) interleaved lanes, each advanced L states at a time by
-    a jump-ahead, so the loop runs about sqrt(steps) times over (rows, L)
-    arrays whatever the row count.
+    L = steps / 4 interleaved lanes, each advanced L states at a time by a
+    jump-ahead, so the loop runs four times over (rows, L) arrays; the
+    resampler passes a window of rows at a time, which bounds their size.
     """
     s0, s1, s2, s3 = seed_words.T
     inc_hi, inc_lo = (s2 << 1) | (s3 >> 63), (s3 << 1) | 1
@@ -224,16 +246,12 @@ def _pcg64_words(seed_words: np.ndarray, count: int) -> np.ndarray:
     # set-seed: state 0, one step, add the seed, one step
     hi, lo = _add128(*_mul128(*_add128(inc_hi, inc_lo, s0, s1), *mult), inc_hi, inc_lo)
     steps = -(-count // 2)
-    lanes = math.isqrt(steps - 1) + 1
-    # A_m = M^m and C_m = 1 + M + ... + M^(m-1): m steps take state s to A_m s + C_m inc
-    powers, sums = [1], [0]
-    for _ in range(lanes):
-        powers.append(powers[-1] * _PCG_MULT % (1 << 128))
-        sums.append((sums[-1] * _PCG_MULT + 1) % (1 << 128))
+    lanes = -(-steps // 4)
+    powers, sums = _jump_table(lanes)
     inc = (inc_hi[:, None], inc_lo[:, None])
     # lane l starts l + 1 steps on, where the first output is taken
-    state = _add128(*_mul128(hi[:, None], lo[:, None], *_split128(powers[1:])), *_mul128(*inc, *_split128(sums[1:])))
-    jump, jump_inc = _split128(powers[-1:]), _mul128(*inc, *_split128(sums[-1:]))
+    state = _add128(*_mul128(hi[:, None], lo[:, None], *powers), *_mul128(*inc, *sums))
+    jump, jump_inc = [p[-1:] for p in powers], _mul128(*inc, *(c[-1:] for c in sums))
     iters = -(-steps // lanes)
     out = np.empty((len(seed_words), iters, lanes), dtype="<u8")
     for t in range(iters):
@@ -262,29 +280,31 @@ def _bounded(words: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
 
 
 def _resample_indices(seeds, reps: int, sizes: tuple[int, ...]) -> list[np.ndarray]:
-    """Flat index blocks for `reps` resamples of each of len(seeds) stacked datasets.
+    """Index blocks for `reps` resamples of each of len(seeds) stacked datasets.
 
     Rows r*reps to (r+1)*reps - 1 resample dataset r, each from its own
-    substream of seeds[r]; an entry indexes the flattened (R, n) sample.
+    substream of seeds[r]; an entry indexes dataset r's sample.
     The substreams depend only on (seed, repetition index), so the
     resamples do not depend on evaluation order or on the other datasets.
     Row i of dataset r is what np.random.default_rng(child).integers(0, n,
     size=n) gives, one call per block, for the i-th child that
-    seeds[r].spawn would make next; a SeedSequence seed is only read.  All
-    rows are drawn in one vectorized pass; a row the pass cannot
-    reproduce, after a rejected word or with a spawn index past 32 bits,
-    is drawn by the per-child generator.
+    seeds[r].spawn would make next; a SeedSequence seed is only read.  The
+    rows are drawn in one vectorized pass per window of rows, into blocks
+    of the smallest unsigned type that holds every index; a row the pass
+    cannot reproduce, after a rejected word or with a spawn index past 32
+    bits, is drawn by the per-child generator.
     """
     seqs = [_seed_sequence(seed) for seed in seeds]
-    words, redo = zip(*(_child_seed_words(ss, reps) for ss in seqs))
-    redo = np.concatenate(redo)
-    stream = _pcg64_words(np.concatenate(words), sum(sizes))
-    blocks, start = [], 0
-    for n in sizes:
-        blocks.append(np.empty((len(seeds) * reps, n), dtype=np.intp))
-        redo |= _bounded(stream[:, start:start + n], n, blocks[-1])
-        start += n
-    del stream
+    words, redo = (np.concatenate(parts) for parts in zip(*(_child_seed_words(ss, reps) for ss in seqs)))
+    dtype = np.min_scalar_type(max(sizes) - 1)  # the smallest that indexes every sample
+    blocks = [np.empty((len(words), n), dtype=dtype) for n in sizes]
+    for rows in mlqe._slices(0, len(words), sum(sizes), share=1):
+        stream, start = _pcg64_words(words[rows], sum(sizes)), 0
+        for block, n in zip(blocks, sizes):
+            drawn = np.empty(block[rows].shape, dtype=np.intp)
+            redo[rows] |= _bounded(stream[:, start:start + n], n, drawn)
+            block[rows] = drawn
+            start += n
     for row in np.flatnonzero(redo).tolist():
         ss = seqs[row // reps]
         child = np.random.SeedSequence(
@@ -293,8 +313,6 @@ def _resample_indices(seeds, reps: int, sizes: tuple[int, ...]) -> list[np.ndarr
         rng = np.random.default_rng(child)
         for block, n in zip(blocks, sizes):
             block[row] = rng.integers(0, n, size=n)
-    for block, n in zip(blocks, sizes):
-        block += np.repeat(np.arange(len(seeds)) * n, reps)[:, None]
     return blocks
 
 
@@ -340,7 +358,9 @@ def _test(samples, null, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConf
     repetition's substream.  The pooled statistic fits no sample on its
     own, so its samples are fit here.  Every phase is one batch over all
     datasets, with per-row q, and outcome r equals that of dataset r
-    tested alone, bit for bit.
+    tested alone, bit for bit.  The resamples are index blocks read through
+    lazy gathers (mlqe._Gather), so their float rows exist only a window
+    at a time.
     """
     bootstrap = check_count(bootstrap, "bootstrap")
     if len(samples) == 1:
@@ -360,8 +380,9 @@ def _test(samples, null, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConf
         s - m[:, None] if t is None else s - m[:, None] + t[:, None] for s, m, t in zip(samples, means, targets)
     ]
     idx = _resample_indices(seeds, bootstrap, tuple(s.shape[1] for s in samples))
-    resampled = tuple(c.ravel()[i] for c, i in zip(centred, idx))
-    del idx  # as large as the resamples; free it before the fits
+    resampled = tuple(
+        mlqe._Gather((c.ravel(), i, np.repeat(np.arange(len(c)) * c.shape[1], bootstrap))) for c, i in zip(centred, idx)
+    )
     boot_targets = tuple(None if t is None else np.repeat(t, bootstrap) for t in targets)
     boot, degen, _ = statistic(resampled, boot_targets, _per_row(q, bootstrap), cfg)
     outcomes = []
@@ -415,16 +436,18 @@ def _sandwich_objectives(xs: np.ndarray, cfg: FitConfig) -> np.ndarray:
     """Empirical a*b*a location variance at every grid q, from unconstrained fits.
 
     One row of objectives per row of xs (shape (R, n)), from one fit of
-    all R * 51 (dataset, q) rows.
+    all R * 51 (dataset, q) rows, which are gathered a slice at a time.
     """
-    reps, n = xs.shape
+    reps = len(xs)
     qs = np.tile(Q_GRID, reps)
-    block = np.broadcast_to(xs[:, None, :], (reps, len(Q_GRID), n)).reshape(-1, n)
+    block = mlqe._Gather.of_rows(xs, np.repeat(np.arange(reps), len(Q_GRID)))
     mu, s2, _, _, _ = mlqe.batch_fit_normal(block, qs, cfg)
 
-    score, curvature = _mu_derivatives(block, mu[:, None], s2[:, None], qs[:, None])
-    b = np.mean(score ** 2, axis=1)
-    mean_curv = np.mean(curvature, axis=1)
+    b, mean_curv = np.empty(qs.size), np.empty(qs.size)
+    for rows in mlqe._slices(0, *block.shape):
+        score, curvature = _mu_derivatives(block[rows], mu[rows, None], s2[rows, None], qs[rows, None])
+        b[rows] = np.mean(score ** 2, axis=1)
+        mean_curv[rows] = np.mean(curvature, axis=1)
     objective = np.full(qs.size, np.inf)
     ok = mean_curv != 0.0
     a = 1.0 / mean_curv[ok]

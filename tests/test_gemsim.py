@@ -294,10 +294,11 @@ class TestStackedLqrt:
 
     @pytest.mark.slow
     def test_peak_memory_set_by_the_cap_not_by_reps(self):
-        # stacking all 200 replicates at once would build blocks of
-        # 200 * 200 * 50 elements; chunking holds the traced peak at a few
-        # blocks of the cap, the same as for two chunks' worth of replicates
+        # one call holds a small index per resampled element, at most STACK_ELEMENTS of them,
+        # and builds its float rows a window at a time; four calls' worth of replicates peak
+        # where one call's do
         sc = gemsim.builtin_scenarios()[0]
+        per_call = gemsim.STACK_ELEMENTS // (200 * sc.n)
         gemsim.run_scenario(sc, "lqrt", eps_grid=[0.1], reps=1, bootstrap=200, seed=1)
 
         def peak(reps):
@@ -308,6 +309,6 @@ class TestStackedLqrt:
             finally:
                 tracemalloc.stop()
 
-        few, many = peak(12), peak(200)
+        few, many = peak(per_call), peak(4 * per_call)
         assert many < 1.25 * few
-        assert many < 12 * 8 * gemsim.STACK_ELEMENTS
+        assert many < 96 * 2**16  # below twelve float64 blocks of 2**16 values, about 6.3 MB

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lqrt
-from lqrt import lqmath
+from lqrt import lqmath, mlqe
 from lqrt.mlqe import DEFAULT_CONFIG, FitConfig, VARIANCE_FLOOR
 
 from _oracles import (
@@ -206,6 +206,83 @@ class TestOracleAgreementAllFitters:
             fitk = lqrt.fit_variance_known_mean(x, 0.1, q, TIGHT)
             _, s2k = fit_known_mean_oracle(x, 0.1, q)
             assert_allclose(fitk.sigma2, s2k, rtol=1e-8)
+
+
+class TestWindow:
+    """The fixed-point window changes no bit of any fit, and a lazy gather fits as its rows do."""
+
+    # each fitter on an x block of width 3 and a y block of width 4
+    FITS = {
+        "normal": lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_normal(xs, q, cfg),
+        "known_mean": lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_variance_known_mean(xs, mu0, q, cfg),
+        "shared_variance": lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_shared_variance(xs, ys, q, cfg),
+        "shared_mean": lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_shared_mean(xs, ys, q, cfg),
+    }
+    WIDTH = {"normal": 3, "known_mean": 3, "shared_variance": 7, "shared_mean": 7}
+    # WINDOW_ELEMENTS for a fit of the given row width over 37 rows
+    WINDOWS = {
+        "one_row": lambda width: width,
+        "seven": lambda width: 7,  # two rows of width 3, one of width 7
+        "uneven": lambda width: 5 * width + width // 2,  # 37 rows: seven windows of 5, then 2
+        "above_input": lambda width: 37 * width + 1,
+    }
+
+    @staticmethod
+    def _batch(per_row):
+        rng = np.random.default_rng(31)
+        xs, ys = rng.normal(0.5, 2.0, (37, 3)), rng.normal(-0.3, 1.0, (37, 4))
+        xs[rng.random((37, 3)) < 0.15] = 30.0  # outliers: slow rows, some that reach max_iter 7
+        xs[4] = 2.0  # a constant row clips
+        # squares that overflow only when summed: the variance is inf, every weight 0, the row stuck
+        xs[9], ys[11] = [1.2e154, -1.2e154, 0.0], [1e154, -1e154, 1e154, -1e154]
+        xs[20, 0] = 1e160  # a square that overflows: the row runs on NaN to max_iter
+        if not per_row:
+            return xs, ys, 0.4, 0.7
+        q = np.where(rng.random(37) < 0.25, 1.0, rng.uniform(0.5, 1.0, 37))
+        return xs, ys, rng.normal(0.0, 1.0, 37), q
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    @pytest.mark.parametrize("max_iter", [7, 500])
+    @pytest.mark.parametrize("per_row", [True, False], ids=["per_row", "scalar"])
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_window_changes_no_bit(self, monkeypatch, fit, per_row, max_iter, window):
+        args = (*self._batch(per_row), FitConfig(max_iter=max_iter))
+        monkeypatch.setattr(mlqe, "WINDOW_ELEMENTS", 2**62)
+        whole = [np.asarray(a).tobytes() for a in self.FITS[fit](*args)]
+        monkeypatch.setattr(mlqe, "WINDOW_ELEMENTS", self.WINDOWS[window](self.WIDTH[fit]))
+        assert [np.asarray(a).tobytes() for a in self.FITS[fit](*args)] == whole
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_gather_fits_as_its_materialized_block(self, monkeypatch, fit):
+        rng = np.random.default_rng(32)
+        _, _, mu0, q = self._batch(True)
+        base_x, base_y = contaminated(rng, n=20, n_out=2), rng.normal(0.4, 1.5, 15)
+        base_x[7] = 1e160
+        ix, iy = rng.integers(0, 20, (37, 3)), rng.integers(0, 15, (37, 4))
+        monkeypatch.setattr(mlqe, "WINDOW_ELEMENTS", 20)
+        args = (mu0, q, FitConfig(max_iter=50))
+        no_offset = np.zeros(37, dtype=np.intp)
+        lazy = self.FITS[fit](mlqe._Gather((base_x, ix, no_offset)), mlqe._Gather((base_y, iy, no_offset)), *args)
+        dense = self.FITS[fit](base_x[ix], base_y[iy], *args)
+        assert [a.tobytes() for a in lazy] == [a.tobytes() for a in dense]
+
+    def test_gather_rows_are_the_materialized_rows(self):
+        rng = np.random.default_rng(33)
+        flat, block = rng.normal(size=40), rng.normal(size=(6, 5))
+        index, offset = rng.integers(0, 10, (9, 3), dtype=np.uint8), 10 * rng.integers(0, 4, 9)
+        rows = rng.integers(0, 6, 9)
+        by_index, by_row = mlqe._Gather((flat, index, offset)), mlqe._Gather.of_rows(block, rows)
+        joined = mlqe._joined(by_index, by_row)
+        picked = flat[index + offset[:, None]]
+        dense = np.concatenate([picked, block[rows]], axis=1)
+        assert (by_index.shape, by_row.shape, joined.shape) == ((9, 3), (9, 5), (9, 8))
+        assert by_index[2:7].tobytes() == picked[2:7].tobytes()
+        assert by_row[4:].tobytes() == block[rows][4:].tobytes()
+        assert joined[1:8].tobytes() == dense[1:8].tobytes()
+        mixed = np.concatenate([block, block[rows[:6]]], axis=1)
+        assert mlqe._joined(block, mlqe._Gather.of_rows(block, rows[:6]))[:].tobytes() == mixed.tobytes()
 
 
 def test_variance_bias_correction():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,18 @@ class TestLqrtest1Samp:
             lqrt.lqrtest_1samp([[1.0, 2.0], [3.0, 4.0]], 0.0)
 
 
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_sample_sizes_at_the_index_type_limit(self, n):
+        # 256 values are indexed by a 1-byte type; the statistic does not depend on it
+        x = np.random.default_rng(n).normal(0.2, 1.0, n)
+        out = lqrt.lqrtest_1samp(x, 0.0, q=0.8, bootstrap=30, seed=2)
+        assert 0.0 <= out.pvalue <= 1.0 and out.bootstrap == 30
+        assert out.statistic == lqrt.lqrtest_1samp(x, 0.0, q=0.8, bootstrap=5, seed=3).statistic
+        for equal_var in (True, False):
+            two = lqrt.lqrtest_ind(x, x[:100] + 0.5, q=0.8, equal_var=equal_var, bootstrap=30, seed=2)
+            assert 0.0 <= two.pvalue <= 1.0
+
+
 class TestLqrtestRel:
     def test_identical_pairs_degenerate(self):
         x = np.arange(10.0)
@@ -524,17 +537,41 @@ class TestStackedDriver:
         want = np.array([lqmath.lq_likelihood(block[r], mu[r, 0], s2[r, 0], q[r, 0]) for r in range(5)])
         assert got.tobytes() == want.tobytes()
 
+    def test_per_row_q_likelihood_with_a_whole_cell_of_distinct_q(self):
+        # 24 distinct q below 1, as a stacked simulate cell may choose, and one row at q = 1
+        rng = np.random.default_rng(46)
+        block = contaminated(rng, n=25 * 40, n_out=100).reshape(25, 40)
+        mu, s2 = rng.normal(0.0, 0.3, (25, 1)), rng.uniform(0.5, 3.0, (25, 1))
+        q = np.append(rng.permutation(np.arange(50, 98, 2) / 100.0), 1.0)[rng.permutation(25)][:, None]
+        assert np.unique(q[q < 1.0]).size == 24
+        got = lqmath.lq_likelihood(block, mu, s2, q)
+        want = np.array([lqmath.lq_likelihood(block[r], mu[r, 0], s2[r, 0], q[r, 0]) for r in range(25)])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.slow
+    def test_peak_memory_of_a_large_test_per_resampled_element(self):
+        # the B x n resamples are held as an index block and built a window of rows at a time
+        x = contaminated(np.random.default_rng(47), n=20_000, n_out=2_000)
+        lqrt.lqrtest_1samp(x[:50], 0.0, q=0.8, bootstrap=10, seed=1)
+        tracemalloc.start()
+        try:
+            lqrt.lqrtest_1samp(x, 0.0, q=0.8, bootstrap=200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 200 * 20_000
+
 
 def _per_child_indices(seeds, reps, sizes):
-    # the reference: one spawned child and one default_rng per resample, the blocks in order
-    blocks = [np.empty((len(seeds) * reps, n), dtype=np.intp) for n in sizes]
+    # the reference: one spawned child and one default_rng per resample, the blocks in order, each
+    # index stored in the smallest unsigned type that holds every index into one dataset's sample
+    dtype = np.min_scalar_type(max(sizes) - 1)
+    blocks = [np.empty((len(seeds) * reps, n), dtype=dtype) for n in sizes]
     children = [child for ss in seeds for child in ss.spawn(reps)]
     for row, child in enumerate(children):
         rng = np.random.default_rng(child)
         for block, n in zip(blocks, sizes):
             block[row] = rng.integers(0, n, size=n)
-    for block, n in zip(blocks, sizes):
-        block += np.repeat(np.arange(len(seeds)) * n, reps)[:, None]
     return blocks
 
 
@@ -609,6 +646,24 @@ class TestResampleStream:
         out = np.empty((344, 400), dtype=np.intp)
         assert np.flatnonzero(ratio_test._bounded(ratio_test._pcg64_words(words, 400), 400, out)).tolist() == [343]
         self._check(lambda: [np.random.SeedSequence(541)], 344, (400,))
+
+    @pytest.mark.parametrize(
+        "count, reps, sizes, dtype",
+        [
+            (1, 3, (256,), np.uint8),  # the sample size, 256, does not fit uint8 itself
+            (1, 3, (255, 256), np.uint8),
+            (3, 3, (256, 5), np.uint8),  # three datasets, 768 values, still index one sample each
+            (1, 3, (257,), np.uint16),
+            (1, 2, (65_536,), np.uint16),
+            (2, 2, (65_537, 7), np.uint32),
+        ],
+    )
+    def test_index_type_at_its_limits(self, count, reps, sizes, dtype):
+        # the smallest unsigned type that holds max(n) - 1, whatever the number of datasets
+        got = ratio_test._resample_indices(list(range(count)), reps, sizes)
+        want = _per_child_indices([np.random.SeedSequence(s) for s in range(count)], reps, sizes)
+        assert [b.dtype for b in got] == [np.dtype(dtype)] * len(sizes)
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
 
     def test_every_row_redrawn_by_the_fallback(self, monkeypatch):
         bounded = ratio_test._bounded
