@@ -46,11 +46,14 @@ def _paired_differences(x, y, min_len: int, names=("x", "y")) -> np.ndarray:
 
 
 def check_q(q: float) -> float:
-    """Validate the distortion parameter: must satisfy 0 < q <= 1."""
-    q = float(q)
-    if not 0.0 < q <= 1.0:
+    """Validate the distortion parameter: a number with 0 < q <= 1, returned as a float."""
+    try:
+        value = float(q)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or not 0.0 < value <= 1.0:
         raise ValueError(f"q must satisfy 0 < q <= 1, got {q!r}")
-    return q
+    return value
 
 
 def check_finite(value, name: str) -> float:

@@ -47,9 +47,6 @@ __all__ = [
 # 64-bit machine epsilon: the smallest variance the recursion may report.
 VARIANCE_FLOOR = float(np.finfo(np.float64).eps)
 
-# Scale guard when normalizing mean steps by sigma on degenerate fits.
-_MEAN_SCALE_FLOOR = 1e-12
-
 # The fixed-point loop iterates the rows of a fit in a window of at most this
 # many float64 values of data (one row at least), and holds three buffers of
 # that size.  A single pass over many rows takes a window of them at a time,
@@ -169,7 +166,8 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
     blocks that share an index share that parameter.  With pinned_mu (scalar
     or per row) the single mean is held there instead of fit.  A row stops
     when every mean moves less than tol largest standard deviations and every
-    variance less than tol relative, when all weights of a block underflow
+    variance less than tol relative, when a block's weights do not sum to a
+    positive number because they all underflow or are NaN after an overflow
     (the previous iterate is kept and the row counts as clipped), or at
     max_iter.  Returns (means, variances, iterations, converged, clipped) with
     means and variances as lists of (B,) arrays.
@@ -248,7 +246,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
             for x, buf, i, j in zip(xa, weights, mean_of, var_of)
         ]
         sw = [wk.sum(axis=1) for wk in w]
-        stuck = functools.reduce(np.logical_or, [s == 0.0 for s in sw])
+        stuck = functools.reduce(np.logical_or, [~(s > 0.0) for s in sw])
         any_stuck = stuck.any()
         if any_stuck:
             for s in sw:
@@ -257,8 +255,9 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
         clip_a |= functools.reduce(np.logical_or, [v < floor for v in s2_new])
         s2_new = [np.maximum(v, floor) for v in s2_new]
         if any_stuck:
-            # all weights of a block underflowed: the row keeps its previous
-            # iterate, counts as clipped and stops unconverged
+            # all weights of a block underflowed, or are NaN after an overflow:
+            # the row keeps its previous iterate, counts as clipped and stops
+            # unconverged
             for new, old in zip(mu_new + s2_new, mu_a + s2_a):
                 new[stuck] = old[stuck]
             clip_a |= stuck
@@ -267,7 +266,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
             np.logical_and, [np.abs(new - old) / new < tol for new, old in zip(s2_new, s2_a)]
         )
         if not pinned:
-            scale = np.maximum(np.sqrt(functools.reduce(np.maximum, s2_new)), _MEAN_SCALE_FLOOR)
+            scale = np.sqrt(functools.reduce(np.maximum, s2_new))
             for new, old in zip(mu_new, mu_a):
                 done &= np.abs(new - old) / scale < tol
         if any_stuck:

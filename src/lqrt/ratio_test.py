@@ -9,7 +9,6 @@ over a grid.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,36 +157,11 @@ def statistic_ind_unequal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -
     return float(_batch_statistic_ind_unequal(_stack(q, x=x, y=y), (None, None), check_q(q), cfg)[0][0])
 
 
-# NumPy's SeedSequence and PCG64 constants (numpy/random/bit_generator.pyx,
-# pcg64.h), for drawing the resamples of many substreams in one pass.
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx), for
+# mixing the seeds of many children in one pass.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LOW32 = 0xFFFFFFFF
-
-
-def _split128(values) -> tuple[np.ndarray, np.ndarray]:
-    # Python integers below 2**128 as (high, low) uint64 halves
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & ((1 << 64) - 1) for v in values], dtype=np.uint64))
-
-
-def _mulhi64(a, b):
-    # the high 64 bits of the 128-bit products of uint64 arrays, from 32-bit halves
-    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
-    cross1, cross2 = a1 * b0, a0 * b1
-    carry = ((a0 * b0) >> 32) + (cross1 & _LOW32) + (cross2 & _LOW32)
-    return a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (carry >> 32)
-
-
-def _mul128(ah, al, bh, bl):
-    # (ah:al) * (bh:bl) mod 2**128, on uint64 halves
-    return _mulhi64(al, bl) + al * bh + ah * bl, al * bl
-
-
-def _add128(ah, al, bh, bl):
-    lo = al + bl
-    return ah + bh + (lo < al), lo
 
 
 def _child_seed_words(ss: np.random.SeedSequence, reps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,65 +192,27 @@ def _child_seed_words(ss: np.random.SeedSequence, reps: int) -> tuple[np.ndarray
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64), index > _LOW32
 
 
-@functools.lru_cache(maxsize=16)
-def _jump_table(lanes: int):
-    """M^m and C_m = 1 + M + ... + M^(m-1) for m = 1 .. lanes, each as uint64 halves.
+class _ChildSeed(np.random.bit_generator.ISeedSequence):
+    """One child's generate_state(4, uint64) words, as the seed a bit generator asks for."""
 
-    m PCG64 steps take state s to M^m s + C_m inc.
-    """
-    powers, sums = [1], [0]
-    for _ in range(lanes):
-        powers.append(powers[-1] * _PCG_MULT % (1 << 128))
-        sums.append((sums[-1] * _PCG_MULT + 1) % (1 << 128))
-    return _split128(powers[1:]), _split128(sums[1:])
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-
-def _pcg64_words(seed_words: np.ndarray, count: int) -> np.ndarray:
-    """The first `count` 32-bit outputs of PCG64 seeded with each row of (rows, 4) seed words.
-
-    This is Generator.integers' 32-bit stream: each 64-bit XSL-RR output
-    gives its low half, then its high half.  Row r's stream is split into
-    L = steps / 4 interleaved lanes, each advanced L states at a time by a
-    jump-ahead, so the loop runs four times over (rows, L) arrays; the
-    resampler passes a window of rows at a time, which bounds their size.
-    """
-    s0, s1, s2, s3 = seed_words.T
-    inc_hi, inc_lo = (s2 << 1) | (s3 >> 63), (s3 << 1) | 1
-    mult = _split128([_PCG_MULT])
-    # set-seed: state 0, one step, add the seed, one step
-    hi, lo = _add128(*_mul128(*_add128(inc_hi, inc_lo, s0, s1), *mult), inc_hi, inc_lo)
-    steps = -(-count // 2)
-    lanes = -(-steps // 4)
-    powers, sums = _jump_table(lanes)
-    inc = (inc_hi[:, None], inc_lo[:, None])
-    # lane l starts l + 1 steps on, where the first output is taken
-    state = _add128(*_mul128(hi[:, None], lo[:, None], *powers), *_mul128(*inc, *sums))
-    jump, jump_inc = [p[-1:] for p in powers], _mul128(*inc, *(c[-1:] for c in sums))
-    iters = -(-steps // lanes)
-    out = np.empty((len(seed_words), iters, lanes), dtype="<u8")
-    for t in range(iters):
-        if t:
-            state = _add128(*_mul128(*state, *jump), *jump_inc)
-        hi, lo = state
-        x, rot = hi ^ lo, hi >> 58
-        out[:, t] = (x >> rot) | (x << ((64 - rot) & 63))
-    return out.reshape(len(seed_words), -1).view("<u4")[:, :count]
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _bounded(words: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """Lemire's bounded integers in [0, n) from (rows, n) 32-bit words, written to out.
+    """Lemire's bounded integers in [0, n) from (rows, n) 32-bit words, written to out (any integer type holding n - 1).
 
     Returns a flag for each row holding a word that Generator.integers
     rejects and redraws (probability about n / 2**32 per word); those rows
     take more words than this pass gave them.
     """
-    # the leftover (u * n) mod 2**32 first, then the index (u * n) >> 32, both in out
-    np.multiply(words, n, out=out, dtype=np.int64)
-    np.bitwise_and(out, _LOW32, out=out)
-    redraw = (out < (2**32 - n) % n).any(axis=1)
-    np.multiply(words, n, out=out, dtype=np.int64)
-    np.right_shift(out, 32, out=out)
-    return redraw
+    # the index is (u * n) >> 32; a word is rejected when the leftover (u * n) mod 2**32 is below the threshold
+    product = np.multiply(words, n, dtype=np.int64)
+    np.right_shift(product, 32, out=out, casting="unsafe")
+    return np.multiply(words, np.uint32(n)).min(axis=1) < (2**32 - n) % n
 
 
 def _resample_indices(seeds, reps: int, sizes: tuple[int, ...]) -> list[np.ndarray]:
@@ -289,21 +225,24 @@ def _resample_indices(seeds, reps: int, sizes: tuple[int, ...]) -> list[np.ndarr
     Row i of dataset r is what np.random.default_rng(child).integers(0, n,
     size=n) gives, one call per block, for the i-th child that
     seeds[r].spawn would make next; a SeedSequence seed is only read.  The
-    rows are drawn in one vectorized pass per window of rows, into blocks
-    of the smallest unsigned type that holds every index; a row the pass
-    cannot reproduce, after a rejected word or with a spawn index past 32
-    bits, is drawn by the per-child generator.
+    children's seeds are mixed in one vectorized pass, NumPy's PCG64 seeded
+    with each child's words draws its words, and Lemire's step maps a window
+    of rows at a time into blocks of the smallest unsigned type that holds
+    every index; a row the pass cannot reproduce, after a rejected word or
+    with a spawn index past 32 bits, is drawn by the per-child generator.
     """
     seqs = [_seed_sequence(seed) for seed in seeds]
     words, redo = (np.concatenate(parts) for parts in zip(*(_child_seed_words(ss, reps) for ss in seqs)))
     dtype = np.min_scalar_type(max(sizes) - 1)  # the smallest that indexes every sample
     blocks = [np.empty((len(words), n), dtype=dtype) for n in sizes]
     for rows in mlqe._slices(0, len(words), sum(sizes), share=1):
-        stream, start = _pcg64_words(words[rows], sum(sizes)), 0
+        # each child's PCG64 stream; Generator.integers takes each 64-bit output's low half, then its high half
+        stream = np.empty((len(words[rows]), -(-sum(sizes) // 2)), dtype="<u8")
+        for out, seed_words in zip(stream, words[rows]):
+            out[:] = np.random.PCG64(_ChildSeed(seed_words)).random_raw(stream.shape[1])
+        stream, start = stream.view("<u4"), 0
         for block, n in zip(blocks, sizes):
-            drawn = np.empty(block[rows].shape, dtype=np.intp)
-            redo[rows] |= _bounded(stream[:, start:start + n], n, drawn)
-            block[rows] = drawn
+            redo[rows] |= _bounded(stream[:, start:start + n], n, block[rows])
             start += n
     for row in np.flatnonzero(redo).tolist():
         ss = seqs[row // reps]

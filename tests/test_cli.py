@@ -54,7 +54,9 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as err:
             cli.parse_args(["onesample", sample_files[0], "--q", q])
         assert err.value.code == 2
-        assert "argument --q" in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert "argument --q" in stderr
+        assert "q must satisfy 0 < q <= 1" in stderr
 
     def test_q_auto_is_adaptive(self, sample_files):
         assert cli.parse_args(["onesample", sample_files[0], "--q", "auto"]).q is None

@@ -235,7 +235,7 @@ class TestWindow:
         xs[4] = 2.0  # a constant row clips
         # squares that overflow only when summed: the variance is inf, every weight 0, the row stuck
         xs[9], ys[11] = [1.2e154, -1.2e154, 0.0], [1e154, -1e154, 1e154, -1e154]
-        xs[20, 0] = 1e160  # a square that overflows: the row runs on NaN to max_iter
+        xs[20, 0] = 1e160  # a square that overflows: the variance is inf, the weights NaN, the row stuck
         if not per_row:
             return xs, ys, 0.4, 0.7
         q = np.where(rng.random(37) < 0.25, 1.0, rng.uniform(0.5, 1.0, 37))
@@ -252,6 +252,16 @@ class TestWindow:
         whole = [np.asarray(a).tobytes() for a in self.FITS[fit](*args)]
         monkeypatch.setattr(mlqe, "WINDOW_ELEMENTS", self.WINDOWS[window](self.WIDTH[fit]))
         assert [np.asarray(a).tobytes() for a in self.FITS[fit](*args)] == whole
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("per_row", [True, False], ids=["per_row", "scalar"])
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_overflowing_row_stops_clipped(self, fit, per_row):
+        # row 20 keeps its start, the unit-weight fit, instead of running on NaN to max_iter
+        *params, iterations, converged, clipped = self.FITS[fit](*self._batch(per_row), FitConfig(max_iter=500))
+        assert (iterations[20], converged[20], clipped[20]) == (1, False, True)
+        assert not any(np.isnan(p[20]) for p in params)
+        assert np.isinf(params[-1][20])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fit", sorted(FITS))

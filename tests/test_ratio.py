@@ -258,6 +258,10 @@ class TestLqrtest1Samp:
             lqrt.lqrtest_1samp(rng.normal(0, 1, 10), np.inf)
         with pytest.raises(ValueError):
             lqrt.lqrtest_1samp(rng.normal(0, 1, 10), 0.0, q=1.2)
+        for q in (None, "abc"):
+            # a q that is not a number is named, not a TypeError from float()
+            with pytest.raises(ValueError, match=r"^q must satisfy 0 < q <= 1, got"):
+                ratio_test.statistic_1samp(rng.normal(0, 1, 10), 0.0, q=q)
         with pytest.raises(ValueError):
             lqrt.lqrtest_1samp(rng.normal(0, 1, 10), 0.0, bootstrap=0)
         with pytest.raises(ValueError):
@@ -548,10 +552,10 @@ class TestStackedDriver:
         want = np.array([lqmath.lq_likelihood(block[r], mu[r, 0], s2[r, 0], q[r, 0]) for r in range(25)])
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.slow
-    def test_peak_memory_of_a_large_test_per_resampled_element(self):
+    @staticmethod
+    def _peak_bytes_per_resampled_element(n):
         # the B x n resamples are held as an index block and built a window of rows at a time
-        x = contaminated(np.random.default_rng(47), n=20_000, n_out=2_000)
+        x = contaminated(np.random.default_rng(47), n=n, n_out=n // 10)
         lqrt.lqrtest_1samp(x[:50], 0.0, q=0.8, bootstrap=10, seed=1)
         tracemalloc.start()
         try:
@@ -559,7 +563,16 @@ class TestStackedDriver:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 200 * 20_000
+        return peak / (200 * n)
+
+    @pytest.mark.slow
+    def test_peak_memory_of_a_large_test_per_resampled_element(self):
+        assert self._peak_bytes_per_resampled_element(20_000) < 6
+
+    @pytest.mark.slow
+    def test_peak_memory_per_resampled_element_at_ten_times_the_size(self):
+        # 4-byte indices from n = 65 537 on
+        assert self._peak_bytes_per_resampled_element(200_000) < 6
 
 
 def _per_child_indices(seeds, reps, sizes):
@@ -632,6 +645,14 @@ class TestResampleStream:
         got = ratio_test._resample_indices([ss], 6, (7, 10))
         assert [got[0].tolist(), got[1].tolist()] == [[r[0] for r in rows], [r[1] for r in rows]]
 
+    @pytest.mark.parametrize("kind", sorted(SEEDS))
+    def test_child_words_seed_pcg64_as_the_child_does(self, kind):
+        # the words of the children not yet spawned, then the children themselves
+        ss = self.SEEDS[kind]()
+        words, _ = ratio_test._child_seed_words(ss, 40)
+        for w, child in zip(words, ss.spawn(40), strict=True):
+            assert np.random.PCG64(ratio_test._ChildSeed(w)).state == np.random.PCG64(child).state
+
     def test_lemire_rejection_flags_the_row(self):
         # u = 0 with n = 3: leftover 0 is below the threshold (2**32 - 3) % 3 = 1, so NumPy redraws
         words = np.array([[5, 0, 7], [5, 9, 7], [2**32 - 1, 2**31, 1]], dtype=np.uint32)
@@ -643,8 +664,9 @@ class TestResampleStream:
         # seed 541's child 343 draws a word that Lemire's step rejects at n = 400
         ss = np.random.SeedSequence(541)
         words, _ = ratio_test._child_seed_words(ss, 344)
+        raw = np.array([np.random.PCG64(ratio_test._ChildSeed(w)).random_raw(200) for w in words], dtype="<u8")
         out = np.empty((344, 400), dtype=np.intp)
-        assert np.flatnonzero(ratio_test._bounded(ratio_test._pcg64_words(words, 400), 400, out)).tolist() == [343]
+        assert np.flatnonzero(ratio_test._bounded(raw.view("<u4"), 400, out)).tolist() == [343]
         self._check(lambda: [np.random.SeedSequence(541)], 344, (400,))
 
     @pytest.mark.parametrize(
