@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import gemsim, ratio_test
-from .lqmath import check_q
+from .lqmath import check_count, check_q
 
 __all__ = ["parse_args", "read_sample", "read_paired_columns", "run", "main"]
 
@@ -24,20 +24,15 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _q_arg(text: str):
-    if text == "auto":
-        return None
-    try:
-        return check_q(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _arg(check, *args):
+    # an argparse type from a library check, whose ValueError message becomes the usage error
+    def parse(text: str):
+        try:
+            return check(text, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    return parse
 
 
 def _alpha_arg(text: str) -> float:
@@ -67,9 +62,9 @@ def _add_report(sub):
 
 
 def _add_test(sub):
-    sub.add_argument("--q", type=_q_arg, default=None,
+    sub.add_argument("--q", type=_arg(lambda text: None if text == "auto" else check_q(text)), default=None,
                      help="distortion parameter in (0, 1], or 'auto' (default)")
-    sub.add_argument("--bootstrap", type=_positive_int, default=100,
+    sub.add_argument("--bootstrap", type=_arg(check_count, "bootstrap"), default=100,
                      help="number of bootstrap resamples (default 100)")
     sub.add_argument("--seed", type=int, default=None, help="seed for reproducible resampling")
     _add_report(sub)
@@ -111,8 +106,8 @@ def parse_args(argv) -> argparse.Namespace:
                      help="comma-separated test identifiers (default: all for the scenario)")
     sim.add_argument("--eps", type=_eps_arg, default=list(gemsim.DEFAULT_EPS_GRID), dest="eps_grid",
                      help="comma-separated contamination levels in [0, 0.5)")
-    sim.add_argument("--reps", type=_positive_int, default=500)
-    sim.add_argument("--bootstrap", type=_positive_int, default=200)
+    sim.add_argument("--reps", type=_arg(check_count, "reps"), default=500)
+    sim.add_argument("--bootstrap", type=_arg(check_count, "bootstrap"), default=200)
     sim.add_argument("--alpha", type=_alpha_arg, default=0.05)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--size", action="store_true", dest="under_null",

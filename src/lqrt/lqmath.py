@@ -10,6 +10,8 @@ selection evaluate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -45,29 +47,31 @@ def _paired_differences(x, y, min_len: int, names=("x", "y")) -> np.ndarray:
     return x - y
 
 
+def _number(value, name: str, rule: str, ok) -> float:
+    # value as a float when it converts to one that ok accepts; otherwise a ValueError naming the argument
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not ok(number):
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+    return number
+
+
 def check_q(q: float) -> float:
     """Validate the distortion parameter: a number with 0 < q <= 1, returned as a float."""
-    try:
-        value = float(q)
-    except (TypeError, ValueError):
-        value = None
-    if value is None or not 0.0 < value <= 1.0:
-        raise ValueError(f"q must satisfy 0 < q <= 1, got {q!r}")
-    return value
+    return _number(q, "q", "satisfy 0 < q <= 1", lambda v: 0.0 < v <= 1.0)
 
 
 def check_finite(value, name: str) -> float:
     """Validate a null value such as mu0: a finite number, returned as a float."""
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return float(value)
+    return _number(value, name, "be finite", math.isfinite)
 
 
 def check_count(value, name: str, minimum: int = 1) -> int:
     """Validate a count such as bootstrap, reps or n: a whole number of at least minimum."""
-    if not float(value).is_integer() or value < minimum:
-        raise ValueError(f"{name} must be a whole number of at least {minimum}, got {value}")
-    return int(value)
+    rule = f"be a whole number of at least {minimum}"
+    return int(_number(value, name, rule, lambda v: v.is_integer() and v >= minimum))
 
 
 def _check_sigma2(sigma2):
@@ -133,6 +137,15 @@ def lq_weight(x, mu, sigma2, q):
     return out if np.ndim(out) else float(out)
 
 
+def _shared_q(q):
+    # q as one float when it is a scalar or all its entries are equal, for the faster scalar-q pass
+    # (both passes give the same bits); None when the entries differ
+    qa = np.asarray(q, dtype=float)
+    if qa.ndim == 0:
+        return float(qa)
+    return float(qa.flat[0]) if qa.size and (qa == qa.flat[0]).all() else None
+
+
 def _lq_sum(logpdf, q: float):
     # sum of lq_log over the last axis, given the log densities, which it overwrites
     if q == 1.0:
@@ -147,14 +160,16 @@ def lq_likelihood(sample, mu, sigma2, q):
     A float for a 1-D sample, one sum per row for a (B, n) block.  Equals
     the Gaussian log-likelihood at q = 1.  q is a scalar, or a (B, 1)
     column giving each row its own q; a row's sum is then the one the
-    scalar would give, bit for bit (the log form where q == 1).
+    scalar would give, bit for bit (the log form where q == 1), and a
+    column whose rows all share one q is summed as that scalar.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.size == 0:
         raise ValueError("lq_likelihood requires a non-empty sample")
     logpdf = normal_log_pdf(sample, mu, sigma2)
-    if np.ndim(q) == 0:
-        out = _lq_sum(logpdf, q)
+    shared = _shared_q(q)
+    if shared is not None:
+        out = _lq_sum(logpdf, shared)
     else:
         # two groups: the log form where q == 1, one expm1 pass against each row's own 1 - q elsewhere
         q = np.asarray(q, dtype=float)[:, 0]

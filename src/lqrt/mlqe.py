@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lqmath import _weight, as_sample, check_count, check_finite, check_q
+from .lqmath import _number, _shared_q, _weight, as_sample, check_count, check_finite, check_q
 
 __all__ = [
     "VARIANCE_FLOOR",
@@ -49,8 +49,8 @@ VARIANCE_FLOOR = float(np.finfo(np.float64).eps)
 
 # The fixed-point loop iterates the rows of a fit in a window of at most this
 # many float64 values of data (one row at least), and holds three buffers of
-# that size.  A single pass over many rows takes a window of them at a time,
-# or an eighth of one where it builds several temporaries (_slices).
+# that size.  A single pass over many rows takes an eighth of a window of them
+# at a time (_slices).
 WINDOW_ELEMENTS = 2**16
 
 
@@ -84,15 +84,15 @@ def _joined(*blocks):
     return _Gather(*(part for g in parts for part in g.parts))
 
 
-def _slices(start: int, stop: int, width: int, share: int = 8) -> list[slice]:
-    """Consecutive row slices from start to stop, each of at most WINDOW_ELEMENTS / share values (one row at least).
+def _slices(start: int, stop: int, width: int) -> list[slice]:
+    """Consecutive row slices from start to stop, each of at most WINDOW_ELEMENTS / 8 values (one row at least).
 
-    A single pass over many rows takes its rows in these slices: share 1
-    where it holds about two slices' worth of temporaries (the resampling,
-    the likelihoods), 8 where it holds more or fills a fixed-point buffer,
-    so that none outgrows the fixed-point loop's three buffers.
+    A single pass over many rows (the resampling, the likelihoods, the
+    q-selection derivatives, filling a fixed-point buffer) takes its rows
+    in these slices; an eighth of the window leaves room for the several
+    temporaries a slice makes beside the fixed-point loop's three buffers.
     """
-    step = max(1, WINDOW_ELEMENTS // share // width)
+    step = max(1, WINDOW_ELEMENTS // 8 // width)
     return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
 
 
@@ -104,8 +104,7 @@ class FitConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        object.__setattr__(self, "tol", _number(self.tol, "tol", "be positive", lambda v: v > 0.0))
         object.__setattr__(self, "max_iter", check_count(self.max_iter, "max_iter"))
 
 
@@ -142,13 +141,12 @@ class SharedMeanFit:
 
 
 def _q_column(q, nrows: int):
-    """q as a scalar, or one value per row shaped (nrows, 1) against a data block."""
+    """q as a float when every row shares it, else one value per row shaped (nrows, 1) against a data block."""
     qa = np.asarray(q, dtype=float)
-    if qa.ndim == 0:
-        return float(qa)
-    if qa.shape != (nrows,):
+    if qa.ndim and qa.shape != (nrows,):
         raise ValueError("per-row q must match the number of rows")
-    return qa[:, None]
+    shared = _shared_q(qa)
+    return qa[:, None] if shared is None else shared
 
 
 def _pooled(nums, dens, group):

@@ -70,17 +70,12 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _column(value, rows: slice):
-    # a scalar as it is, or the rows of a (B,) array as a column against a block
-    return value if np.ndim(value) == 0 else value[rows, None]
-
-
 def _lik(xs, mu, sigma2, q):
-    # one Lq-likelihood per row of xs, an array or a lazy gather, a window of rows at a time
-    # (its rows and their log densities); mu and q may be scalars or (B,), sigma2 is (B,)
+    # one Lq-likelihood per row of xs, an array or a lazy gather, a slice of rows at a time;
+    # mu, sigma2 and q hold one value per row
     out = np.empty(xs.shape[0])
-    for rows in mlqe._slices(0, *xs.shape, share=1):
-        out[rows] = lq_likelihood(xs[rows], _column(mu, rows), sigma2[rows, None], _column(q, rows))
+    for rows in mlqe._slices(0, *xs.shape):
+        out[rows] = lq_likelihood(xs[rows], mu[rows, None], sigma2[rows, None], q[rows, None])
     return out
 
 
@@ -94,11 +89,12 @@ def _degenerate(*fits) -> np.ndarray:
 
 
 # Each batch statistic takes one (B, n_k) block per sample, the null's
-# targets (per sample, None or the null mean: a scalar or one per row), q (a
-# scalar or one per row) and the FitConfig.  It returns (statistic,
-# degenerate, free_means): one value per row, plus each sample's
-# unconstrained-fit mean where the statistic fit one (None for the pooled
-# statistic, which fits no sample on its own).
+# targets (per sample, None or the null mean of each row), the q of each row
+# and the FitConfig; the fitters and the likelihoods pick their scalar-q pass
+# when all rows share q.  It returns (statistic, degenerate, free_means): one
+# value per row, plus each sample's unconstrained-fit mean where the
+# statistic fit one (None for the pooled statistic, which fits no sample on
+# its own).
 
 
 def _batch_statistic_1samp(blocks, targets, q, cfg: FitConfig):
@@ -144,17 +140,17 @@ def statistic_1samp(x, mu0: float, q: float, cfg: FitConfig = DEFAULT_CONFIG) ->
     """One-sample ratio statistic for H0: mu = mu0; equals the Gaussian LRT at q = 1."""
     samples = _stack(q, x=x)
     mu0 = check_finite(mu0, "mu0")
-    return float(_batch_statistic_1samp(samples, (mu0,), check_q(q), cfg)[0][0])
+    return float(_batch_statistic_1samp(samples, (np.full(1, mu0),), np.full(1, check_q(q)), cfg)[0][0])
 
 
 def statistic_ind_equal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """Two-sample ratio statistic under a shared-variance alternative."""
-    return float(_batch_statistic_ind_equal(_stack(q, x=x, y=y), (None, None), check_q(q), cfg)[0][0])
+    return float(_batch_statistic_ind_equal(_stack(q, x=x, y=y), (None, None), np.full(1, check_q(q)), cfg)[0][0])
 
 
 def statistic_ind_unequal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """Two-sample ratio statistic with free per-sample variances."""
-    return float(_batch_statistic_ind_unequal(_stack(q, x=x, y=y), (None, None), check_q(q), cfg)[0][0])
+    return float(_batch_statistic_ind_unequal(_stack(q, x=x, y=y), (None, None), np.full(1, check_q(q)), cfg)[0][0])
 
 
 # NumPy's SeedSequence constants (numpy/random/bit_generator.pyx), for
@@ -235,7 +231,7 @@ def _resample_indices(seeds, reps: int, sizes: tuple[int, ...]) -> list[np.ndarr
     words, redo = (np.concatenate(parts) for parts in zip(*(_child_seed_words(ss, reps) for ss in seqs)))
     dtype = np.min_scalar_type(max(sizes) - 1)  # the smallest that indexes every sample
     blocks = [np.empty((len(words), n), dtype=dtype) for n in sizes]
-    for rows in mlqe._slices(0, len(words), sum(sizes), share=1):
+    for rows in mlqe._slices(0, len(words), sum(sizes)):
         # each child's PCG64 stream; Generator.integers takes each 64-bit output's low half, then its high half
         stream = np.empty((len(words[rows]), -(-sum(sizes) // 2)), dtype="<u8")
         for out, seed_words in zip(stream, words[rows]):
@@ -253,14 +249,6 @@ def _resample_indices(seeds, reps: int, sizes: tuple[int, ...]) -> list[np.ndarr
         for block, n in zip(blocks, sizes):
             block[row] = rng.integers(0, n, size=n)
     return blocks
-
-
-def _per_row(q: np.ndarray, times: int):
-    """Each dataset's q repeated for its `times` rows, or one float when all share it.
-
-    Both give the same bits; the float takes the fits' faster scalar-q path.
-    """
-    return float(q[0]) if (q == q[0]).all() else np.repeat(q, times)
 
 
 def _count_pvalue(boot: np.ndarray, observed: float) -> float:
@@ -311,10 +299,9 @@ def _test(samples, null, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConf
         q = np.asarray(Q_GRID)[_best_q(_grid_objectives(samples, cfg))]
     else:
         q = np.full(len(seeds), check_q(q))
-    q_rows = _per_row(q, 1)
-    observed, _, means = statistic(samples, targets, q_rows, cfg)
+    observed, _, means = statistic(samples, targets, q, cfg)
     if means is None:
-        means = [mlqe.batch_fit_normal(s, q_rows, cfg)[0] for s in samples]
+        means = [mlqe.batch_fit_normal(s, q, cfg)[0] for s in samples]
     centred = [
         s - m[:, None] if t is None else s - m[:, None] + t[:, None] for s, m, t in zip(samples, means, targets)
     ]
@@ -323,7 +310,7 @@ def _test(samples, null, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConf
         mlqe._Gather((c.ravel(), i, np.repeat(np.arange(len(c)) * c.shape[1], bootstrap))) for c, i in zip(centred, idx)
     )
     boot_targets = tuple(None if t is None else np.repeat(t, bootstrap) for t in targets)
-    boot, degen, _ = statistic(resampled, boot_targets, _per_row(q, bootstrap), cfg)
+    boot, degen, _ = statistic(resampled, boot_targets, np.repeat(q, bootstrap), cfg)
     outcomes = []
     for r, stat in enumerate(observed.tolist()):
         rows = slice(r * bootstrap, (r + 1) * bootstrap)

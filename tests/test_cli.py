@@ -74,10 +74,22 @@ class TestParseArgs:
             cli.parse_args(["selectq", sample_files[0], *flags])
         assert err.value.code == 2
 
-    def test_bad_bootstrap_exits_2(self, sample_files):
-        with pytest.raises(SystemExit) as err:
-            cli.parse_args(["onesample", sample_files[0], "--bootstrap", "0"])
-        assert err.value.code == 2
+    def test_bad_bootstrap_exits_2(self, sample_files, capsys):
+        # counts are checked as the library checks them, and the usage error is the library's message
+        for argv, flag, value in [
+            (["onesample", sample_files[0]], "--bootstrap", "0"),
+            (["onesample", sample_files[0]], "--bootstrap", "2.5"),
+            (["onesample", sample_files[0]], "--bootstrap", "abc"),
+            (["simulate"], "--bootstrap", "0"),
+            (["simulate"], "--reps", "nan"),
+        ]:
+            with pytest.raises(SystemExit) as err:
+                cli.parse_args([*argv, flag, value])
+            assert err.value.code == 2
+            name = flag.lstrip("-")
+            message = f"argument {flag}: {name} must be a whole number of at least 1, got '{value}'"
+            assert message in capsys.readouterr().err
+            assert getattr(cli.parse_args([*argv, flag, "1e3"]), name) == 1000
 
     def test_simulate_config(self):
         cfg = cli.parse_args(

@@ -238,7 +238,7 @@ class TestArgumentChecks:
     _X = np.random.default_rng(3).normal(0.3, 1.0, 20)
     _SPEC = gemsim.GrossErrorSpec(0.0, 1.0, 50.0, 0.1)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "abc", None])
     @pytest.mark.parametrize("name, call", [
         pytest.param("u", lambda x, v: lqrt.lqrtest_1samp(x, v, q=0.7, bootstrap=10, seed=1),
                      id="lqrtest_1samp"),
@@ -276,7 +276,7 @@ class TestArgumentChecks:
             TestArgumentChecks._SPEC, k, np.random.default_rng(0)), id="sample_gem_paired"),
         pytest.param("max_iter", lambda x, k: lqrt.FitConfig(max_iter=k), id="FitConfig"),
     ])
-    @pytest.mark.parametrize("bad", [2.5, 0, np.nan])
+    @pytest.mark.parametrize("bad", [2.5, 0, np.nan, "abc", None])
     def test_count_must_be_whole_and_positive(self, name, call, bad):
         # a fractional count used to be truncated (bootstrap=2.5 ran 2 resamples)
         with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
@@ -333,3 +333,9 @@ class TestArgumentChecks:
         assert lqmath.check_count(np.float64(7.0), "n", minimum=2) == 7
         with pytest.raises(ValueError, match=r"^n must be a whole number of at least 2, got 1$"):
             lqmath.check_count(1, "n", minimum=2)
+        # a number given as text is read as the number, as check_q reads it
+        assert lqmath.check_count("1e3", "bootstrap") == 1000 and lqmath.check_finite("-0.5", "u") == -0.5
+        assert lqrt.FitConfig(tol="1e-8", max_iter="500") == lqrt.DEFAULT_CONFIG
+        for bad in ("abc", None, 0.0, np.nan):
+            with pytest.raises(ValueError, match=rf"^tol must be positive, got {bad!r}$"):
+                lqrt.FitConfig(tol=bad)

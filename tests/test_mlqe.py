@@ -227,8 +227,11 @@ class TestWindow:
         "above_input": lambda width: 37 * width + 1,
     }
 
+    # q and the pinned mean: scalars, every row the same values, or each row its own
+    Q_KINDS = ["scalar", "uniform", "per_row"]
+
     @staticmethod
-    def _batch(per_row):
+    def _batch(q_kind):
         rng = np.random.default_rng(31)
         xs, ys = rng.normal(0.5, 2.0, (37, 3)), rng.normal(-0.3, 1.0, (37, 4))
         xs[rng.random((37, 3)) < 0.15] = 30.0  # outliers: slow rows, some that reach max_iter 7
@@ -236,38 +239,60 @@ class TestWindow:
         # squares that overflow only when summed: the variance is inf, every weight 0, the row stuck
         xs[9], ys[11] = [1.2e154, -1.2e154, 0.0], [1e154, -1e154, 1e154, -1e154]
         xs[20, 0] = 1e160  # a square that overflows: the variance is inf, the weights NaN, the row stuck
-        if not per_row:
+        if q_kind == "scalar":
             return xs, ys, 0.4, 0.7
+        if q_kind == "uniform":
+            return xs, ys, np.full(37, 0.4), np.full(37, 0.7)
         q = np.where(rng.random(37) < 0.25, 1.0, rng.uniform(0.5, 1.0, 37))
         return xs, ys, rng.normal(0.0, 1.0, 37), q
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("window", sorted(WINDOWS))
     @pytest.mark.parametrize("max_iter", [7, 500])
-    @pytest.mark.parametrize("per_row", [True, False], ids=["per_row", "scalar"])
+    @pytest.mark.parametrize("q_kind", Q_KINDS)
     @pytest.mark.parametrize("fit", sorted(FITS))
-    def test_window_changes_no_bit(self, monkeypatch, fit, per_row, max_iter, window):
-        args = (*self._batch(per_row), FitConfig(max_iter=max_iter))
+    def test_window_changes_no_bit(self, monkeypatch, fit, q_kind, max_iter, window):
+        args = (*self._batch(q_kind), FitConfig(max_iter=max_iter))
         monkeypatch.setattr(mlqe, "WINDOW_ELEMENTS", 2**62)
         whole = [np.asarray(a).tobytes() for a in self.FITS[fit](*args)]
         monkeypatch.setattr(mlqe, "WINDOW_ELEMENTS", self.WINDOWS[window](self.WIDTH[fit]))
         assert [np.asarray(a).tobytes() for a in self.FITS[fit](*args)] == whole
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("per_row", [True, False], ids=["per_row", "scalar"])
+    @pytest.mark.parametrize("q_kind", Q_KINDS)
     @pytest.mark.parametrize("fit", sorted(FITS))
-    def test_overflowing_row_stops_clipped(self, fit, per_row):
+    def test_overflowing_row_stops_clipped(self, fit, q_kind):
         # row 20 keeps its start, the unit-weight fit, instead of running on NaN to max_iter
-        *params, iterations, converged, clipped = self.FITS[fit](*self._batch(per_row), FitConfig(max_iter=500))
+        *params, iterations, converged, clipped = self.FITS[fit](*self._batch(q_kind), FitConfig(max_iter=500))
         assert (iterations[20], converged[20], clipped[20]) == (1, False, True)
         assert not any(np.isnan(p[20]) for p in params)
         assert np.isinf(params[-1][20])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("q", [0.7, 1.0])
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_uniform_rows_fit_as_the_scalar(self, fit, q):
+        # one q and one pinned mean given per row fit bit for bit as the scalars do
+        xs, ys, _, _ = self._batch("scalar")
+        cfg = FitConfig(max_iter=7)
+        uniform = self.FITS[fit](xs, ys, np.full(37, 0.4), np.full(37, q), cfg)
+        assert [a.tobytes() for a in uniform] == [a.tobytes() for a in self.FITS[fit](xs, ys, 0.4, q, cfg)]
+
+    def test_uniform_rows_take_the_scalar_q_pass(self):
+        # every row sharing one q gives the float the scalar pass runs on; mixed rows give a column
+        for q in (0.7, 1.0):
+            got = mlqe._q_column(np.full(5, q), 5)
+            assert type(got) is float and got == q
+        mixed = mlqe._q_column(np.array([0.7, 0.7, 1.0, 0.7, 0.7]), 5)
+        assert mixed.shape == (5, 1)
+        assert type(mlqe._q_column(0.7, 5)) is float and np.isnan(mlqe._q_column(np.nan, 5))
+        assert mlqe._q_column(np.full(5, np.nan), 5).shape == (5, 1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fit", sorted(FITS))
     def test_gather_fits_as_its_materialized_block(self, monkeypatch, fit):
         rng = np.random.default_rng(32)
-        _, _, mu0, q = self._batch(True)
+        _, _, mu0, q = self._batch("per_row")
         base_x, base_y = contaminated(rng, n=20, n_out=2), rng.normal(0.4, 1.5, 15)
         base_x[7] = 1e160
         ix, iy = rng.integers(0, 20, (37, 3)), rng.integers(0, 15, (37, 4))

@@ -531,15 +531,21 @@ class TestStackedDriver:
         got = ratio_test._sandwich_objectives(np.stack(xs), mlqe.DEFAULT_CONFIG)
         assert got.tobytes() == (a * b * a).reshape(len(xs), -1).tobytes()
 
-    def test_per_row_q_likelihood_matches_scalar_rows(self):
+    def test_per_row_q_likelihood_matches_scalar_rows(self, monkeypatch):
         xs, _ = self._datasets()
         block = np.stack(xs)
         mu = np.linspace(-0.5, 0.5, 5)[:, None]
         s2 = np.linspace(0.5, 3.0, 5)[:, None]
-        q = np.array([1.0, 0.5, 0.67, 1.0, 0.79])[:, None]
-        got = lqmath.lq_likelihood(block, mu, s2, q)
-        want = np.array([lqmath.lq_likelihood(block[r], mu[r, 0], s2[r, 0], q[r, 0]) for r in range(5)])
-        assert got.tobytes() == want.tobytes()
+        real_sum, scalar_qs = lqmath._lq_sum, []
+        monkeypatch.setattr(lqmath, "_lq_sum", lambda logpdf, q: scalar_qs.append(q) or real_sum(logpdf, q))
+        for rows in ([1.0, 0.5, 0.67, 1.0, 0.79], [0.7] * 5, [1.0] * 5):
+            q = np.array(rows)[:, None]
+            want = np.array([lqmath.lq_likelihood(block[r], mu[r, 0], s2[r, 0], q[r, 0]) for r in range(5)])
+            scalar_qs.clear()
+            got = lqmath.lq_likelihood(block, mu, s2, q)
+            assert got.tobytes() == want.tobytes()
+            # a column whose rows all share one q is summed in one scalar pass
+            assert scalar_qs == ([rows[0]] if len(set(rows)) == 1 else [])
 
     def test_per_row_q_likelihood_with_a_whole_cell_of_distinct_q(self):
         # 24 distinct q below 1, as a stacked simulate cell may choose, and one row at q = 1
