@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import gemsim, ratio_test
-from .lqmath import check_count, check_q
+from .lqmath import check_alpha, check_count, check_eps, check_finite, check_q
 
 __all__ = ["parse_args", "read_sample", "read_paired_columns", "run", "main"]
 
@@ -35,21 +35,22 @@ def _arg(check, *args):
     return parse
 
 
-def _alpha_arg(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("alpha must lie in (0, 1)")
-    return value
-
-
 def _eps_arg(text: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [_arg(check_eps)(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise argparse.ArgumentTypeError("empty contamination grid")
-    for value in values:
-        if not 0.0 <= value < 0.5:
-            raise argparse.ArgumentTypeError("contamination levels must lie in [0, 0.5)")
     return values
+
+
+def _seed(text: str) -> int:
+    # read as an integer, not through float(), so that a seed above 2**53 keeps every digit
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"seed must be a whole number of at least 0, got {text!r}")
+    return seed
 
 
 def _tests_arg(text: str) -> Optional[list[str]]:
@@ -66,7 +67,7 @@ def _add_test(sub):
                      help="distortion parameter in (0, 1], or 'auto' (default)")
     sub.add_argument("--bootstrap", type=_arg(check_count, "bootstrap"), default=100,
                      help="number of bootstrap resamples (default 100)")
-    sub.add_argument("--seed", type=int, default=None, help="seed for reproducible resampling")
+    sub.add_argument("--seed", type=_arg(_seed), default=None, help="seed for reproducible resampling")
     _add_report(sub)
 
 
@@ -79,7 +80,7 @@ def parse_args(argv) -> argparse.Namespace:
 
     one = subs.add_parser("onesample", help="test the mean of one sample")
     one.add_argument("inputs", nargs=1, metavar="data", help="input file, one value per line ('-' for stdin)")
-    one.add_argument("--mu0", type=float, default=0.0, help="null-hypothesis mean (default 0)")
+    one.add_argument("--mu0", type=_arg(check_finite, "mu0"), default=0.0, help="null-hypothesis mean (default 0)")
     _add_test(one)
 
     rel = subs.add_parser("paired", help="test equality of means of paired samples")
@@ -108,8 +109,8 @@ def parse_args(argv) -> argparse.Namespace:
                      help="comma-separated contamination levels in [0, 0.5)")
     sim.add_argument("--reps", type=_arg(check_count, "reps"), default=500)
     sim.add_argument("--bootstrap", type=_arg(check_count, "bootstrap"), default=200)
-    sim.add_argument("--alpha", type=_alpha_arg, default=0.05)
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--alpha", type=_arg(check_alpha), default=0.05)
+    sim.add_argument("--seed", type=_arg(_seed), default=None)
     sim.add_argument("--size", action="store_true", dest="under_null",
                      help="generate under the null means (size) instead of the alternative (power)")
     sim.add_argument("-o", "--output", default=None)

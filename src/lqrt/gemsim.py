@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import baselines, ratio_test
-from .lqmath import check_count
+from .lqmath import check_alpha, check_count, check_eps
 from .mlqe import DEFAULT_CONFIG
 
 __all__ = [
@@ -221,15 +221,12 @@ def run_scenario(
     """
     reps = check_count(reps, "reps")
     bootstrap = check_count(bootstrap, "bootstrap")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha = check_alpha(alpha)
     if test not in TESTS_BY_SETUP[scenario.setup]:
         raise ValueError(f"test {test!r} is not available for setup {scenario.setup!r}")
     if test == "lqrt":
         check_count(scenario.n, "n", minimum=ratio_test._min_len(None))  # lqrt chooses q adaptively
-    eps_grid = [float(eps) for eps in eps_grid]
-    if not all(0.0 <= eps < 0.5 for eps in eps_grid):
-        raise ValueError("every eps must lie in [0, 0.5)")
+    eps_grid = [check_eps(eps) for eps in eps_grid]
     if seed is None:
         seed = int(np.random.SeedSequence().entropy)
     means = scenario.means_null if under_null else scenario.means_alt

@@ -68,6 +68,16 @@ def check_finite(value, name: str) -> float:
     return _number(value, name, "be finite", math.isfinite)
 
 
+def check_alpha(alpha) -> float:
+    """Validate a significance level: a number with 0 < alpha < 1, returned as a float."""
+    return _number(alpha, "alpha", "lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+
+
+def check_eps(eps) -> float:
+    """Validate a contamination level of the gross-error model: a number in [0, 0.5), returned as a float."""
+    return _number(eps, "eps", "lie in [0, 0.5)", lambda v: 0.0 <= v < 0.5)
+
+
 def check_count(value, name: str, minimum: int = 1) -> int:
     """Validate a count such as bootstrap, reps or n: a whole number of at least minimum."""
     rule = f"be a whole number of at least {minimum}"

@@ -91,6 +91,35 @@ class TestParseArgs:
             assert message in capsys.readouterr().err
             assert getattr(cli.parse_args([*argv, flag, "1e3"]), name) == 1000
 
+    @pytest.mark.parametrize("argv, flag, value, message", [
+        (["simulate"], "--alpha", "abc", "alpha must lie in (0, 1), got 'abc'"),
+        (["simulate"], "--alpha", "1", "alpha must lie in (0, 1), got '1'"),
+        (["simulate"], "--eps", "abc", "eps must lie in [0, 0.5), got 'abc'"),
+        (["simulate"], "--eps", "0,0.6", "eps must lie in [0, 0.5), got '0.6'"),
+        (["onesample", "DATA"], "--mu0", "nan", "mu0 must be finite, got 'nan'"),
+        (["onesample", "DATA"], "--mu0", "abc", "mu0 must be finite, got 'abc'"),
+        (["onesample", "DATA"], "--seed", "-1", "seed must be a whole number of at least 0, got '-1'"),
+        (["onesample", "DATA"], "--seed", "2.5", "seed must be a whole number of at least 0, got '2.5'"),
+        (["simulate"], "--seed", "-3", "seed must be a whole number of at least 0, got '-3'"),
+    ])
+    def test_other_arguments_get_the_library_checks(self, sample_files, capsys, argv, flag, value, message):
+        # each is a usage error (status 2) naming the argument, before any data is read
+        argv = [sample_files[0] if a == "DATA" else a for a in argv]
+        with pytest.raises(SystemExit) as err:
+            cli.parse_args([*argv, flag, value])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in stderr
+        assert "_arg" not in stderr
+
+    def test_other_arguments_parse_as_the_library_reads_them(self, sample_files):
+        sim = cli.parse_args(["simulate", "--alpha", "0.1", "--eps", "0, 0.25,", "--seed", "0"])
+        assert (sim.alpha, sim.eps_grid, sim.seed) == (0.1, [0.0, 0.25], 0)
+        # a seed is read as an integer, so one above 2**53 keeps every digit
+        big = 2**64 + 1
+        assert cli.parse_args(["onesample", sample_files[0], "--seed", str(big)]).seed == big
+        assert cli.parse_args(["onesample", sample_files[0], "--mu0", "1e-3"]).mu0 == 0.001
+
     def test_simulate_config(self):
         cfg = cli.parse_args(
             ["simulate", "--scenario", "one_sample", "--tests", "t,sign",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,21 @@ class TestArgumentChecks:
         # a fractional count used to be truncated (bootstrap=2.5 ran 2 resamples)
         with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
             call(self._X, bad)
+
+    @pytest.mark.parametrize("bad", [0, 1, -0.1, np.nan, "abc", None])
+    def test_alpha_must_lie_in_the_unit_interval(self, bad):
+        # alpha=None used to raise TypeError from the comparison
+        with pytest.raises(ValueError, match=rf"^alpha must lie in \(0, 1\), got {re.escape(repr(bad))}$"):
+            gemsim.run_scenario(gemsim.builtin_scenarios()[0], "t", eps_grid=[0.0], reps=2, alpha=bad, seed=0)
+
+    def test_alpha_and_eps_read_as_numbers(self):
+        sc = gemsim.builtin_scenarios()[0]
+        want = gemsim.run_scenario(sc, "t", eps_grid=[0.0, 0.1], reps=3, alpha=0.05, seed=0)
+        got = gemsim.run_scenario(sc, "t", eps_grid=["0", "0.1"], reps=3, alpha="0.05", seed=0)
+        assert got == want and type(got[0].alpha) is float
+        assert lqmath.check_alpha("0.05") == 0.05 and lqmath.check_eps(np.float64(0.25)) == 0.25
+        with pytest.raises(ValueError, match=r"^eps must lie in \[0, 0\.5\), got 0\.5$"):
+            gemsim.run_scenario(sc, "t", eps_grid=[0.0, 0.5], reps=2, seed=0)
 
     def test_whole_counts_of_any_type_accepted(self):
         want = lqrt.lqrtest_1samp(self._X, 0.0, q=0.7, bootstrap=1000, seed=1)

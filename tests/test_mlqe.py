@@ -326,3 +326,146 @@ def test_variance_bias_correction():
     assert lqrt.variance_bias_correction(0.8, 0.9) == pytest.approx(0.72, rel=1e-15)
     with pytest.raises(ValueError):
         lqrt.variance_bias_correction(-1.0, 0.5)
+
+
+def plain_fit(blocks, mean_of, var_of, q, mu0=None, tol=1e-12, max_iter=20_000):
+    """The reweighting map without acceleration, on every row at once, each row stopped by the engine's test.
+
+    Block k is modelled as N(mu[mean_of[k]], s2[var_of[k]]); with mu0 the one
+    mean is pinned there.  The start is the unit-weight fit.  A row whose
+    weights do not sum to a positive number stops unconverged.  Returns
+    (means, variances, iterations, converged), the first two shaped (groups, rows).
+    """
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    rows = len(blocks[0])
+    q = np.broadcast_to(np.asarray(q, dtype=float), (rows,))
+    n_mean, n_var = max(mean_of) + 1, max(var_of) + 1
+
+    def groups(values, of, n):
+        return [sum(v for v, g in zip(values, of) if g == j) for j in range(n)]
+
+    def step(idx, mu, s2, start):
+        xs = [b[idx] for b in blocks]
+        if start:
+            w = [np.ones_like(x) for x in xs]
+        else:
+            w = [np.exp((1.0 - q[idx, None]) * (-0.5 * np.log(2.0 * np.pi * s2[j][:, None])
+                                                 - (x - mu[i][:, None]) ** 2 / (2.0 * s2[j][:, None])))
+                 for x, i, j in zip(xs, mean_of, var_of)]
+        sw = [wk.sum(axis=1) for wk in w]
+        ok = np.logical_and.reduce([s > 0.0 for s in sw])
+        if mu0 is None:
+            mu = np.array(groups([(wk * x).sum(axis=1) for wk, x in zip(w, xs)], mean_of, n_mean)) / groups(
+                sw, mean_of, n_mean)
+        dev = [(wk * (x - mu[i][:, None]) ** 2).sum(axis=1) for wk, x, i in zip(w, xs, mean_of)]
+        s2 = np.maximum(np.array(groups(dev, var_of, n_var)) / groups(sw, var_of, n_var), VARIANCE_FLOOR)
+        return mu, s2, ok
+
+    pinned = None if mu0 is None else np.broadcast_to(np.asarray(mu0, dtype=float), (rows,))[None, :].copy()
+    with np.errstate(all="ignore"):
+        mu, s2, _ = step(np.arange(rows), pinned, None, True)
+        iterations, converged = np.zeros(rows, dtype=int), np.zeros(rows, dtype=bool)
+        active = np.arange(rows)
+        for k in range(1, max_iter + 1):
+            new_mu, new_s2, ok = step(active, mu[:, active], s2[:, active], False)
+            done = ok & np.all(np.abs(new_s2 - s2[:, active]) / new_s2 < tol, axis=0)
+            if mu0 is None:
+                done &= np.all(np.abs(new_mu - mu[:, active]) / np.sqrt(new_s2.max(axis=0)) < tol, axis=0)
+            mu[:, active], s2[:, active] = np.where(ok, new_mu, mu[:, active]), np.where(ok, new_s2, s2[:, active])
+            stop = done | ~ok | (k == max_iter)
+            iterations[active[stop]], converged[active[stop]] = k, done[stop]
+            active = active[~stop]
+            if not len(active):
+                break
+    return mu, s2, iterations, converged
+
+
+class TestAcceleration:
+    """Every accelerated row reaches the plain map's fixed point, with fewer map evaluations.
+
+    MLqE fixed points are not unique, so an extrapolation that leaves the
+    basin of the plain path's fixed point would settle on another one.  The
+    reference is the plain map run to tol 1e-12.
+    """
+
+    # (batch fitter, plain_fit layout): block means, block variances, pinned mean
+    FITS = {
+        "normal": (lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_normal(xs, q, cfg), (0,), (0,), False),
+        "known_mean": (lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_variance_known_mean(xs, mu0, q, cfg),
+                       (0,), (0,), True),
+        "shared_variance": (lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_shared_variance(xs, ys, q, cfg),
+                            (0, 1), (0, 0), False),
+        "shared_mean": (lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_shared_mean(xs, ys, q, cfg),
+                        (0, 0), (0, 1), False),
+    }
+    # contaminated(default_rng(seed)) samples resampled 250 times each; without the
+    # linear-regime gate the extrapolation leaves the plain path's basin on some rows of these
+    SEEDS = (3, 5, 20, 22)
+    Q_GRID = (0.5, 0.6, 0.7, 0.9)
+
+    @classmethod
+    def _contaminated_batch(cls):
+        # xs, ys, the pinned means and a per-row q over the grid
+        parts = []
+        for seed in cls.SEEDS:
+            x = contaminated(np.random.default_rng(seed))
+            y = contaminated(np.random.default_rng(seed + 1000), n=40, n_out=4, mu=0.5)
+            rng = np.random.default_rng(41)
+            parts.append((x[rng.integers(0, 50, (250, 50))], y[rng.integers(0, 40, (250, 40))], rng.normal(0.0, 0.3, 250)))
+        xs, ys, mu0 = (np.concatenate(p) for p in zip(*parts))
+        return xs, ys, mu0, np.random.default_rng(42).choice(cls.Q_GRID, len(xs))
+
+    @staticmethod
+    def _reference(fit, xs, ys, mu0, q, **kw):
+        _, mean_of, var_of, pinned = TestAcceleration.FITS[fit]
+        blocks = (xs,) if len(mean_of) == 1 else (xs, ys)
+        return plain_fit(blocks, mean_of, var_of, q, mu0 if pinned else None, **kw)
+
+    def _check_same_fixed_point(self, fit, xs, ys, mu0, q):
+        call, mean_of, _, pinned = self.FITS[fit]
+        *params, _, converged, clipped = call(xs, ys, mu0, q, DEFAULT_CONFIG)
+        mu, s2, _, ref_converged = self._reference(fit, xs, ys, mu0, q)
+        n_mean = 1 if pinned else max(mean_of) + 1
+        means, variances = np.array(params[:n_mean]), np.array(params[n_mean:])
+        rows = converged & ~clipped & ref_converged
+        sigma = np.sqrt(s2.max(axis=0))
+        off_mean = np.max(np.abs(means - mu) / sigma, axis=0)
+        off_var = np.max(np.abs(variances - s2) / s2, axis=0)
+        assert np.count_nonzero(rows) >= 0.97 * len(rows)
+        assert off_mean[rows].max() <= 1e-6 and off_var[rows].max() <= 1e-6, (
+            np.flatnonzero(rows & ((off_mean > 1e-6) | (off_var > 1e-6))))
+
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_contaminated_resamples_reach_the_plain_fixed_point(self, fit):
+        xs, ys, mu0, q_rows = self._contaminated_batch()
+        for q in (*self.Q_GRID, q_rows):
+            self._check_same_fixed_point(fit, xs, ys, mu0, q)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("q_kind", TestWindow.Q_KINDS)
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_window_batch_reaches_the_plain_fixed_point(self, fit, q_kind):
+        xs, ys, mu0, q = TestWindow._batch(q_kind)
+        call, mean_of, _, pinned = self.FITS[fit]
+        *params, _, converged, clipped = call(xs, ys, mu0, q, DEFAULT_CONFIG)
+        mu, s2, _, ref_converged = self._reference(fit, xs, ys, mu0, q)
+        n_mean = 1 if pinned else max(mean_of) + 1
+        rows = converged & ~clipped & ref_converged
+        sigma = np.sqrt(s2.max(axis=0))
+        assert np.all(np.abs(np.array(params[:n_mean]) - mu)[:, rows] <= 1e-6 * sigma[rows])
+        assert np.all(np.abs(np.array(params[n_mean:]) - s2)[:, rows] <= 1e-6 * s2[:, rows])
+
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_fewer_map_evaluations_than_the_plain_map(self, fit):
+        # at q = 0.5, the slowest of the grid, against the plain map under the default stop test and cap
+        xs, ys, mu0, _ = self._contaminated_batch()
+        iterations = self.FITS[fit][0](xs, ys, mu0, 0.5, DEFAULT_CONFIG)[-3]
+        _, _, plain, _ = self._reference(fit, xs, ys, mu0, 0.5, tol=DEFAULT_CONFIG.tol,
+                                         max_iter=DEFAULT_CONFIG.max_iter)
+        # the shared-mean map pools the two samples' weighted sums without their
+        # variances, so it does not climb the Lq-likelihood and the likelihood
+        # guard keeps most of its extrapolations out
+        ratio = 1.0 if fit == "shared_mean" else 0.6
+        assert iterations.mean() <= ratio * plain.mean()
+        cap = DEFAULT_CONFIG.max_iter
+        assert np.count_nonzero(iterations >= cap) <= np.count_nonzero(plain >= cap)
