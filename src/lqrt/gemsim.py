@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import baselines, ratio_test
-from .lqmath import check_alpha, check_count, check_eps
+from .lqmath import check_alpha, check_count, check_eps, check_finite
 from .mlqe import DEFAULT_CONFIG
 
 __all__ = [
@@ -65,10 +65,9 @@ class GrossErrorSpec:
     eps: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.mu, self.sigma2, self.tau2, self.eps))):
-            raise ValueError("mixture parameters must be finite")
-        if not 0.0 <= self.eps < 0.5:
-            raise ValueError("eps must lie in [0, 0.5)")
+        for name in ("mu", "sigma2", "tau2"):
+            object.__setattr__(self, name, check_finite(getattr(self, name), name))
+        object.__setattr__(self, "eps", check_eps(self.eps))
         if not 0.0 < self.sigma2 < self.tau2:
             raise ValueError("need 0 < sigma2 < tau2")
 

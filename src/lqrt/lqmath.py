@@ -3,9 +3,11 @@
 The distortion parameter ``q`` interpolates between a robust objective
 (q < 1, bounded below) and the plain log-likelihood (q = 1).  Every
 function here is elementwise and broadcasts like numpy: scalars in,
-scalar out; a (B, n) data block with (B, 1) parameters gives one row per
-fit.  These are the functions the fitters, the test statistics and q
-selection evaluate.
+scalar out; a (B, n) data block with (B, 1) parameters, q among them,
+gives one row per fit.  The weights and the Lq-likelihood both come from
+one kernel, s log f(x | mu, sigma2) with s = 1 - q, in one pass for any
+mix of q.  These are the functions the fitters, the test statistics and
+q selection evaluate.
 """
 
 from __future__ import annotations
@@ -108,31 +110,29 @@ def lq_log(u, q: float):
     return out if out.ndim else float(out)
 
 
-def _log_pdf(x, mu, sigma2, out=None, sq=None):
-    # normal_log_pdf without the sigma2 check, for callers that floor sigma2, written into out (a new
-    # array when None); sq, when given, is (x - mu)**2 already computed
+def _scaled_log_pdf(x, mu, sigma2, s, out=None, sq=None):
+    # s * log N(x | mu, sigma2) as c - k (x - mu)^2, with c = -(s/2) log(2 pi sigma2) and k = s / (2 sigma2)
+    # formed once per row; multiplying by k makes s = 0 give 0, not a division by zero.  No sigma2 check,
+    # for callers that floor sigma2.  Written into out (a new array when None); sq, when given, is (x - mu)**2.
     x = np.asarray(x, dtype=float)
     if out is None:
-        out = np.empty(np.broadcast_shapes(x.shape, np.shape(mu), np.shape(sigma2)))
+        out = np.empty(np.broadcast(x, mu, sigma2, s).shape)
     if sq is None:
         sq = np.square(np.subtract(x, mu, out=out), out=out)
-    np.divide(sq, 2.0 * sigma2, out=out)
-    return np.subtract(-0.5 * np.log(2.0 * np.pi * sigma2), out, out=out)
+    np.multiply(sq, s / (2.0 * sigma2), out=out)
+    return np.subtract(-0.5 * s * np.log(2.0 * np.pi * sigma2), out, out=out)
 
 
 def _weight(x, mu, sigma2, q, out=None, sq=None):
-    # lq_weight without the sigma2 check, in out as for _log_pdf: the fixed-point driver's per-iteration kernel
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(mu), np.shape(sigma2), np.shape(q)))
-    z = _log_pdf(x, mu, sigma2, out, sq)
-    np.multiply(1.0 - q, z, out=z)
+    # lq_weight without the sigma2 check, in out as for _scaled_log_pdf: the fixed-point driver's kernel
+    z = _scaled_log_pdf(x, mu, sigma2, 1.0 - q, out, sq)
     return np.exp(z, out=z)
 
 
 def normal_log_pdf(x, mu, sigma2):
     """Log density of N(mu, sigma2) at x."""
     _check_sigma2(sigma2)
-    out = _log_pdf(x, mu, sigma2)
+    out = -0.5 * np.log(2.0 * np.pi * sigma2) - np.subtract(x, mu, dtype=float) ** 2 / (2.0 * sigma2)
     return out if out.ndim else float(out)
 
 
@@ -147,48 +147,28 @@ def lq_weight(x, mu, sigma2, q):
     return out if np.ndim(out) else float(out)
 
 
-def _shared_q(q):
-    # q as one float when it is a scalar or all its entries are equal, for the faster scalar-q pass
-    # (both passes give the same bits); None when the entries differ
-    qa = np.asarray(q, dtype=float)
-    if qa.ndim == 0:
-        return float(qa)
-    return float(qa.flat[0]) if qa.size and (qa == qa.flat[0]).all() else None
-
-
-def _lq_sum(logpdf, q: float):
-    # sum of lq_log over the last axis, given the log densities, which it overwrites
-    if q == 1.0:
-        return logpdf.sum(axis=-1)
-    omq = 1.0 - q
-    return np.expm1(np.multiply(omq, logpdf, out=logpdf), out=logpdf).sum(axis=-1) / omq
-
-
 def lq_likelihood(sample, mu, sigma2, q):
     """Sum of lq_log(f(x_i|mu,sigma2)) over the last axis of the sample.
 
     A float for a 1-D sample, one sum per row for a (B, n) block.  Equals
     the Gaussian log-likelihood at q = 1.  q is a scalar, or a (B, 1)
-    column giving each row its own q; a row's sum is then the one the
-    scalar would give, bit for bit (the log form where q == 1), and a
-    column whose rows all share one q is summed as that scalar.
+    column giving each row its own q; a row's sum is the one its own q
+    would give, bit for bit.  Each term is expm1(s log f) / s with
+    s = 1 - q, and log f itself where q = 1.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.size == 0:
         raise ValueError("lq_likelihood requires a non-empty sample")
-    logpdf = normal_log_pdf(sample, mu, sigma2)
-    shared = _shared_q(q)
-    if shared is not None:
-        out = _lq_sum(logpdf, shared)
-    else:
-        # two groups: the log form where q == 1, one expm1 pass against each row's own 1 - q elsewhere
-        q = np.asarray(q, dtype=float)[:, 0]
-        out = np.empty(logpdf.shape[0])
-        log_rows = q == 1.0
-        out[log_rows] = logpdf[log_rows].sum(axis=-1)
-        rest = ~log_rows if log_rows.any() else slice(None)
-        omq, terms = 1.0 - q[rest], logpdf[rest]
-        out[rest] = np.expm1(np.multiply(omq[:, None], terms, out=terms), out=terms).sum(axis=-1) / omq
+    _check_sigma2(sigma2)
+    q = np.asarray(q, dtype=float)
+    s = np.where(q == 1.0, 1.0, 1.0 - q)
+    terms = _scaled_log_pdf(sample, mu, sigma2, s)
+    # the log form stays where q = 1; numpy's masked loop is slower, so only a mixed q passes a mask
+    below = q < 1.0
+    n_below = np.count_nonzero(below)
+    if n_below:
+        np.expm1(terms, out=terms, where=True if n_below == below.size else below)
+    out = (terms.sum(axis=-1, keepdims=True) / s)[..., 0]
     return out if np.ndim(out) else float(out)
 
 

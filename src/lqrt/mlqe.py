@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lqmath import _number, _shared_q, _weight, as_sample, check_count, check_finite, check_q
+from .lqmath import _number, _weight, as_sample, check_count, check_finite, check_q
 
 __all__ = [
     "VARIANCE_FLOOR",
@@ -152,12 +152,11 @@ class SharedMeanFit:
 
 
 def _q_column(q, nrows: int):
-    """q as a float when every row shares it, else one value per row shaped (nrows, 1) against a data block."""
+    """q, a scalar or one value per row, as a (nrows, 1) column against a data block."""
     qa = np.asarray(q, dtype=float)
     if qa.ndim and qa.shape != (nrows,):
         raise ValueError("per-row q must match the number of rows")
-    shared = _shared_q(qa)
-    return qa[:, None] if shared is None else shared
+    return np.broadcast_to(qa, (nrows,))[:, None]
 
 
 def _pooled(nums, dens, group, out):
@@ -207,7 +206,6 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
     blocks = [x if isinstance(x, _Gather) else np.asarray(x, dtype=float) for x in blocks]
     B = blocks[0].shape[0]
     q_col = _q_column(q, B)
-    per_row_q = np.ndim(q_col) > 0
     floor, tol, pinned = VARIANCE_FLOOR, cfg.tol, pinned_mu is not None
     mu0 = np.broadcast_to(np.asarray(pinned_mu, dtype=float), (B,)) if pinned else None
     mean_groups = [[k for k, i in enumerate(mean_of) if i == j] for j in range(max(mean_of) + 1)]
@@ -290,7 +288,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
     point, clip_a = enter(slice(0, cap), 0)
     alt, back, back2, ref_total, bound, tried = fresh(point)
     idx, start, entered, step, trials = np.arange(cap), np.zeros(cap, dtype=np.int64), cap, 0, False
-    q_a = q_col[:cap] if per_row_q else q_col
+    q_a = q_col[:cap]
     # a row that overflows stops as stuck, and the extrapolation of a row outside the
     # gate may divide by zero or overflow before np.where drops it: no warning is due
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -394,8 +392,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
                 nxt, alt, back, back2, ref_total, bound, tried = (
                     v[..., left] for v in (nxt, alt, back, back2, ref_total, bound, tried)
                 )
-                if per_row_q:
-                    q_a = q_a[left]
+                q_a = q_a[left]
             point = nxt
             if 2 * len(idx) <= cap and entered < B:
                 rows = slice(entered, min(B, entered + cap - len(idx)))
@@ -406,8 +403,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
                 )
                 idx, clip_a = np.concatenate([idx, np.arange(rows.start, rows.stop)]), np.concatenate([clip_a, new_clip])
                 start = np.concatenate([start, np.full(len(new_clip), step)])
-                if per_row_q:
-                    q_a = np.concatenate([q_a, q_col[rows]])
+                q_a = np.concatenate([q_a, q_col[rows]])
                 entered = rows.stop
     means = [mu0.astype(float, copy=True)] if pinned else list(fitted[:J])
     return means, list(fitted[J:]), iterations, converged, clipped
@@ -487,7 +483,5 @@ def variance_bias_correction(sigma2: float, q: float) -> float:
 
     Diagnostic helper only; the test statistics use the uncorrected fits.
     """
-    if not sigma2 > 0.0:
-        raise ValueError("sigma2 must be positive")
-    check_q(q)
-    return q * sigma2
+    sigma2 = _number(sigma2, "sigma2", "be positive", lambda v: v > 0.0)
+    return check_q(q) * sigma2

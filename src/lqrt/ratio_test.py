@@ -90,8 +90,7 @@ def _degenerate(*fits) -> np.ndarray:
 
 # Each batch statistic takes one (B, n_k) block per sample, the null's
 # targets (per sample, None or the null mean of each row), the q of each row
-# and the FitConfig; the fitters and the likelihoods pick their scalar-q pass
-# when all rows share q.  It returns (statistic, degenerate, free_means): one
+# and the FitConfig.  It returns (statistic, degenerate, free_means): one
 # value per row, plus each sample's unconstrained-fit mean where the
 # statistic fit one (None for the pooled statistic, which fits no sample on
 # its own).

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -213,7 +214,8 @@ class TestBroadcastBlocks:
         # the kernels write into one buffer but keep the formulas' operations and order, so their bits
         xs, mu, s2, q = self._block()
         log_pdf = -0.5 * np.log(2.0 * np.pi * s2) - (xs - mu) ** 2 / (2.0 * s2)
-        w = np.exp((1.0 - q) * log_pdf)
+        s = 1 - q
+        w = np.exp(-0.5 * s * np.log(2 * np.pi * s2) - (xs - mu) ** 2 * (s / (2 * s2)))
         z = (xs - mu) / s2
         assert lqmath.normal_log_pdf(xs, mu, s2).tobytes() == log_pdf.tobytes()
         assert lqmath.lq_weight(xs, mu, s2, q).tobytes() == w.tobytes()
@@ -231,6 +233,24 @@ class TestBroadcastBlocks:
         rows = np.array([lqmath.lq_likelihood(xs[b], mu[b, 0], s2[b, 0], q) for b in range(xs.shape[0])])
         assert block.shape == (xs.shape[0],)
         assert block.tobytes() == rows.tobytes()
+
+
+class TestKernelAccuracy:
+    """Weights and Lq-likelihoods agree with 50-digit arithmetic at any scale, out to 30 standard deviations."""
+
+    @pytest.mark.parametrize("q", [0.5, 0.7, 0.9, 0.99, 0.999999, 1.0])
+    def test_weight_and_likelihood_against_mpmath(self, q):
+        mu = 0.3
+        for s2 in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6):
+            x = mu + np.linspace(-30.0, 30.0, 121) * math.sqrt(s2)
+            with mp.workdps(50):
+                s = 1 - mp.mpf(q)  # exact: 1 - q rounds to no other float for q in [0.5, 1]
+                log_f = [-mp.log(2 * mp.pi * s2) / 2 - (mp.mpf(v) - mu) ** 2 / (2 * s2) for v in x]
+                w_err = max(abs(w / mp.exp(s * lf) - 1) for w, lf in zip(lqmath.lq_weight(x, mu, s2, q), log_f))
+                exact = mp.fsum(log_f) if q == 1.0 else mp.fsum(mp.expm1(s * lf) for lf in log_f) / s
+                lik_err = abs(lqmath.lq_likelihood(x, mu, s2, q) - exact) / max(1, abs(exact))
+            assert w_err <= 1e-13, (s2, float(w_err))
+            assert lik_err <= 1e-14, (s2, float(lik_err))
 
 
 class TestArgumentChecks:
@@ -342,6 +362,31 @@ class TestArgumentChecks:
             call(self._X[:2], None)
         call(self._X[:2], 0.7)
         call(self._X[:3], None)
+
+    @pytest.mark.parametrize("field", ["mu", "sigma2", "tau2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "abc", None])
+    def test_mixture_parameters_must_be_finite(self, field, bad):
+        # None used to raise TypeError from math.isfinite, with no name
+        args = {"mu": 0.0, "sigma2": 1.0, "tau2": 50.0, "eps": 0.1, field: bad}
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {re.escape(repr(bad))}$"):
+            gemsim.GrossErrorSpec(**args)
+
+    def test_mixture_parameters_read_as_numbers(self):
+        spec = gemsim.GrossErrorSpec("0", np.float64(1.0), 50, "0.1")
+        assert spec == self._SPEC and all(type(v) is float for v in vars(spec).values())
+        # the same words as run_scenario's check of the eps grid
+        for bad in (0.6, -0.1, None, "abc"):
+            with pytest.raises(ValueError, match=rf"^eps must lie in \[0, 0\.5\), got {re.escape(repr(bad))}$"):
+                gemsim.GrossErrorSpec(0.0, 1.0, 50.0, bad)
+        with pytest.raises(ValueError, match=r"^need 0 < sigma2 < tau2$"):
+            gemsim.GrossErrorSpec(0.0, 2.0, "2", 0.1)
+
+    def test_variance_bias_correction_reads_numbers(self):
+        # sigma2 given as text used to raise TypeError from the comparison
+        assert lqrt.variance_bias_correction("1.0", 0.5) == 0.5
+        for bad in (None, "abc", 0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match=rf"^sigma2 must be positive, got {re.escape(repr(bad))}$"):
+                lqrt.variance_bias_correction(bad, 0.5)
 
     def test_check_helpers_return_plain_numbers(self):
         assert lqmath.check_finite(np.float64(0.25), "mu0") == 0.25

@@ -278,16 +278,6 @@ class TestWindow:
         uniform = self.FITS[fit](xs, ys, np.full(37, 0.4), np.full(37, q), cfg)
         assert [a.tobytes() for a in uniform] == [a.tobytes() for a in self.FITS[fit](xs, ys, 0.4, q, cfg)]
 
-    def test_uniform_rows_take_the_scalar_q_pass(self):
-        # every row sharing one q gives the float the scalar pass runs on; mixed rows give a column
-        for q in (0.7, 1.0):
-            got = mlqe._q_column(np.full(5, q), 5)
-            assert type(got) is float and got == q
-        mixed = mlqe._q_column(np.array([0.7, 0.7, 1.0, 0.7, 0.7]), 5)
-        assert mixed.shape == (5, 1)
-        assert type(mlqe._q_column(0.7, 5)) is float and np.isnan(mlqe._q_column(np.nan, 5))
-        assert mlqe._q_column(np.full(5, np.nan), 5).shape == (5, 1)
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fit", sorted(FITS))
     def test_gather_fits_as_its_materialized_block(self, monkeypatch, fit):
