@@ -91,22 +91,22 @@ def _check_sigma2(sigma2):
         raise ValueError("sigma2 must be positive")
 
 
-def lq_log(u, q: float):
-    """Deformed logarithm: ln(u) at q = 1, else (u^(1-q) - 1)/(1 - q).
+def lq_log(u, q):
+    """Deformed logarithm: ln(u) at q = 1, else (u^(1-q) - 1)/(1 - q); q may be an array too.
 
-    Exact logarithm branch at q == 1 (no smoothing); for q < 1 the value
-    is bounded below by -1/(1-q).  Computed as expm1((1-q) ln u)/(1-q),
+    Exact logarithm where q == 1 (no smoothing); for q < 1 the value is
+    bounded below by -1/(1-q).  Computed as expm1(s ln u)/s with s = 1 - q,
     which is the same quantity without the cancellation of the naive
     power form.
     """
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0):
         raise ValueError("lq_log requires positive input")
-    if q == 1.0:
-        out = np.log(u)
-    else:
-        omq = 1.0 - q
-        out = np.expm1(omq * np.log(u)) / omq
+    q = np.asarray(q, dtype=float)
+    s = np.where(q == 1.0, 1.0, 1.0 - q)
+    out = np.asarray(s * np.log(u))
+    np.expm1(out, out=out, where=q != 1.0)
+    out /= s
     return out if out.ndim else float(out)
 
 

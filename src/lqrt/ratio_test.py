@@ -89,40 +89,39 @@ def _degenerate(*fits) -> np.ndarray:
 
 
 # Each batch statistic takes one (B, n_k) block per sample, the null's
-# targets (per sample, None or the null mean of each row), the q of each row
-# and the FitConfig.  It returns (statistic, degenerate, free_means): one
-# value per row, plus each sample's unconstrained-fit mean where the
-# statistic fit one (None for the pooled statistic, which fits no sample on
-# its own).
+# targets (per sample, None or the null mean of each row), the q of each row,
+# the FitConfig and each sample's free fit as batch_fit_normal returns it, or
+# None to have the statistic fit them where it needs them (the pooled one does
+# not).  It returns (statistic, degenerate), one value per row.
 
 
-def _batch_statistic_1samp(blocks, targets, q, cfg: FitConfig):
+def _batch_statistic_1samp(blocks, targets, q, cfg: FitConfig, free=None):
     (xs,), (mu0,) = blocks, targets
-    mu1, s21, _, conv1, clip1 = mlqe.batch_fit_normal(xs, q, cfg)
+    mu1, s21, _, conv1, clip1 = mlqe.batch_fit_normal(xs, q, cfg) if free is None else free[0]
     _, s20, _, conv0, clip0 = mlqe.batch_fit_variance_known_mean(xs, mu0, q, cfg)
     d = np.maximum(2.0 * (_lik(xs, mu1, s21, q) - _lik(xs, mu0, s20, q)), 0.0)
-    return d, _degenerate((conv1, clip1), (conv0, clip0)), (mu1,)
+    return d, _degenerate((conv1, clip1), (conv0, clip0))
 
 
-def _batch_statistic_ind_equal(blocks, targets, q, cfg: FitConfig):
+def _batch_statistic_ind_equal(blocks, targets, q, cfg: FitConfig, free=None):
     xs, ys = blocks
     mx, my, s2, _, conv1, clip1 = mlqe.batch_fit_shared_variance(xs, ys, q, cfg)
     pooled = mlqe._joined(xs, ys)
     mu0, s20, _, conv0, clip0 = mlqe.batch_fit_normal(pooled, q, cfg)
     l1 = _lik(xs, mx, s2, q) + _lik(ys, my, s2, q)
     d = np.maximum(2.0 * (l1 - _lik(pooled, mu0, s20, q)), 0.0)
-    return d, _degenerate((conv1, clip1), (conv0, clip0)), None
+    return d, _degenerate((conv1, clip1), (conv0, clip0))
 
 
-def _batch_statistic_ind_unequal(blocks, targets, q, cfg: FitConfig):
+def _batch_statistic_ind_unequal(blocks, targets, q, cfg: FitConfig, free=None):
     xs, ys = blocks
-    mx, s2x, _, convx, clipx = mlqe.batch_fit_normal(xs, q, cfg)
-    my, s2y, _, convy, clipy = mlqe.batch_fit_normal(ys, q, cfg)
+    fits = [mlqe.batch_fit_normal(b, q, cfg) for b in blocks] if free is None else free
+    (mx, s2x, _, convx, clipx), (my, s2y, _, convy, clipy) = fits
     mu0, s2x0, s2y0, _, conv0, clip0 = mlqe.batch_fit_shared_mean(xs, ys, q, cfg)
     l1 = _lik(xs, mx, s2x, q) + _lik(ys, my, s2y, q)
     l0 = _lik(xs, mu0, s2x0, q) + _lik(ys, mu0, s2y0, q)
     d = np.maximum(2.0 * (l1 - l0), 0.0)
-    return d, _degenerate((convx, clipx), (convy, clipy), (conv0, clip0)), (mx, my)
+    return d, _degenerate((convx, clipx), (convy, clipy), (conv0, clip0))
 
 
 def _min_len(q) -> int:
@@ -276,17 +275,16 @@ def _test(samples, null, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConf
     `samples` holds one (R, n_k) block per sample, row r of each being
     dataset r, and `seeds` the R seeds.  One block is the one-sample test
     of H0: mu = null[r]; two blocks are the two-sample test, pooled when
-    equal_var holds and Welch otherwise (`null` is then unused).  With q
-    None, each dataset gets its own q from one stacked run of the grid.
-    The observed fits also give each sample's robust mean; the sample is
-    centred on it, shifted to the null mean in the one-sample test, and
-    resampled with replacement, the samples in order within each
-    repetition's substream.  The pooled statistic fits no sample on its
-    own, so its samples are fit here.  Every phase is one batch over all
-    datasets, with per-row q, and outcome r equals that of dataset r
-    tested alone, bit for bit.  The resamples are index blocks read through
-    lazy gathers (mlqe._Gather), so their float rows exist only a window
-    at a time.
+    equal_var holds and Welch otherwise (`null` is then unused).  One
+    stacked run of the grid (Q_GRID with q None, else (q,)) fits every
+    sample free at each grid q and gives dataset r the q of its least
+    objective.  Each sample's fit there serves the observed statistic, and
+    its mean centres the sample, shifted to the null mean in the one-sample
+    test, for resampling with replacement, the samples in order within each
+    repetition's substream.  Every phase is one batch over all datasets,
+    with per-row q, and outcome r equals that of dataset r tested alone,
+    bit for bit.  The resamples are index blocks read through lazy gathers
+    (mlqe._Gather), so their float rows exist only a window at a time.
     """
     bootstrap = check_count(bootstrap, "bootstrap")
     if len(samples) == 1:
@@ -294,22 +292,21 @@ def _test(samples, null, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConf
     else:
         statistic = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
         targets = (None, None)
-    if q is None:
-        q = np.asarray(Q_GRID)[_best_q(_grid_objectives(samples, cfg))]
-    else:
-        q = np.full(len(seeds), check_q(q))
-    observed, _, means = statistic(samples, targets, q, cfg)
-    if means is None:
-        means = [mlqe.batch_fit_normal(s, q, cfg)[0] for s in samples]
+    grid = Q_GRID if q is None else (check_q(q),)
+    objectives, fits = _grid_objectives(samples, grid, cfg)
+    best = _best_q(objectives)
+    q = np.asarray(grid)[best]
+    free = [[f[np.arange(len(best)), best] for f in fit] for fit in fits]
+    observed, _ = statistic(samples, targets, q, cfg, free)
     centred = [
-        s - m[:, None] if t is None else s - m[:, None] + t[:, None] for s, m, t in zip(samples, means, targets)
+        s - f[0][:, None] if t is None else s - f[0][:, None] + t[:, None] for s, f, t in zip(samples, free, targets)
     ]
     idx = _resample_indices(seeds, bootstrap, tuple(s.shape[1] for s in samples))
     resampled = tuple(
         mlqe._Gather((c.ravel(), i, np.repeat(np.arange(len(c)) * c.shape[1], bootstrap))) for c, i in zip(centred, idx)
     )
     boot_targets = tuple(None if t is None else np.repeat(t, bootstrap) for t in targets)
-    boot, degen, _ = statistic(resampled, boot_targets, np.repeat(q, bootstrap), cfg)
+    boot, degen = statistic(resampled, boot_targets, np.repeat(q, bootstrap), cfg)
     outcomes = []
     for r, stat in enumerate(observed.tolist()):
         rows = slice(r * bootstrap, (r + 1) * bootstrap)
@@ -357,16 +354,17 @@ def pvalue_bootstrap_ind(
     return out.pvalue, out.degenerate_fraction
 
 
-def _sandwich_objectives(xs: np.ndarray, cfg: FitConfig) -> np.ndarray:
-    """Empirical a*b*a location variance at every grid q, from unconstrained fits.
+def _sandwich_objectives(xs: np.ndarray, grid, cfg: FitConfig):
+    """Empirical a*b*a location variance at every q of grid, from unconstrained fits.
 
-    One row of objectives per row of xs (shape (R, n)), from one fit of
-    all R * 51 (dataset, q) rows, which are gathered a slice at a time.
+    Returns the objectives and batch_fit_normal's outputs, each one row per
+    row of xs (shape (R, n)), from one fit of all R * len(grid) (dataset, q)
+    rows, which are gathered a slice at a time.
     """
     reps = len(xs)
-    qs = np.tile(Q_GRID, reps)
-    block = mlqe._Gather.of_rows(xs, np.repeat(np.arange(reps), len(Q_GRID)))
-    mu, s2, _, _, _ = mlqe.batch_fit_normal(block, qs, cfg)
+    qs = np.tile(grid, reps)
+    block = mlqe._Gather.of_rows(xs, np.repeat(np.arange(reps), len(grid)))
+    mu, s2, *state = mlqe.batch_fit_normal(block, qs, cfg)
 
     b, mean_curv = np.empty(qs.size), np.empty(qs.size)
     for rows in mlqe._slices(0, *block.shape):
@@ -377,12 +375,13 @@ def _sandwich_objectives(xs: np.ndarray, cfg: FitConfig) -> np.ndarray:
     ok = mean_curv != 0.0
     a = 1.0 / mean_curv[ok]
     objective[ok] = a * b[ok] * a
-    return objective.reshape(reps, -1)
+    return objective.reshape(reps, -1), [f.reshape(reps, -1) for f in (mu, s2, *state)]
 
 
-def _grid_objectives(samples, cfg: FitConfig) -> np.ndarray:
-    # the q-selection objective of each stacked dataset: its samples' sandwich variances summed
-    return sum(_sandwich_objectives(s, cfg) for s in samples)
+def _grid_objectives(samples, grid, cfg: FitConfig):
+    # the q-selection objective of each stacked dataset, its samples' sandwich variances summed, and each sample's fits
+    objectives, fits = zip(*(_sandwich_objectives(s, grid, cfg) for s in samples))
+    return sum(objectives), fits
 
 
 def _best_q(objectives: np.ndarray):
@@ -391,7 +390,7 @@ def _best_q(objectives: np.ndarray):
 
 
 def _select_q(samples, cfg: FitConfig) -> QSelectionReport:
-    (objective,) = _grid_objectives(samples, cfg)
+    (objective,), _ = _grid_objectives(samples, Q_GRID, cfg)
     best = int(_best_q(objective))
     return QSelectionReport(
         q_hat=Q_GRID[best],

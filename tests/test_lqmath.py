@@ -40,6 +40,16 @@ class TestLqLog:
             u = float(np.exp(rng.uniform(-20, 10)))
             assert lqmath.lq_log(u, q) > -1.0 / (1.0 - q)
 
+    def test_array_q_is_elementwise(self):
+        # q broadcasts like u, and each entry keeps the bits of its scalar-q value
+        q = np.array([0.5, 0.7, 1.0])
+        assert lqmath.lq_log(2.0, q).tolist() == [lqmath.lq_log(2.0, v) for v in q.tolist()]
+        u = np.array([0.25, 1.0, 7.5])
+        got = lqmath.lq_log(u, q[:, None])
+        assert got.shape == (3, 3)
+        assert got.tolist() == [[lqmath.lq_log(v, w) for v in u.tolist()] for w in q.tolist()]
+        assert lqmath.lq_log(u, q).tolist() == [lqmath.lq_log(v, w) for v, w in zip(u.tolist(), q.tolist())]
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             lqmath.lq_log(0.0, 0.5)

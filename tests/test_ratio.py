@@ -414,12 +414,13 @@ class TestOneFitPerTest:
         assert out.statistic == stat(x, y, out.q)
         assert (out.pvalue, out.degenerate_fraction) == (p, degenerate)
 
+    @pytest.mark.parametrize("q", [None, 0.7])
     @pytest.mark.parametrize(
-        "kind, want", [("onesample", 5), ("pooled", 8), ("welch", 8)]
+        "kind, want", [("onesample", 4), ("pooled", 6), ("welch", 6)]
     )
-    def test_batch_fit_calls_per_test(self, monkeypatch, kind, want):
-        # q selection (1 or 2), observed fits, centring fits only where the
-        # observed statistic has no free per-sample fit, bootstrap fits
+    def test_batch_fit_calls_per_test(self, monkeypatch, kind, want, q):
+        # the q grid (one free fit per sample, over 51 q or the one fixed q),
+        # the observed constrained fits, the bootstrap fits
         calls = []
 
         def counted(fn):
@@ -434,9 +435,9 @@ class TestOneFitPerTest:
         x = _readme_sample()
         y = contaminated(np.random.default_rng(78), n=40, n_out=4)
         if kind == "onesample":
-            lqrt.lqrtest_1samp(x, 0.0, bootstrap=20, seed=1)
+            lqrt.lqrtest_1samp(x, 0.0, q=q, bootstrap=20, seed=1)
         else:
-            lqrt.lqrtest_ind(x, y, equal_var=kind == "pooled", bootstrap=20, seed=1)
+            lqrt.lqrtest_ind(x, y, equal_var=kind == "pooled", q=q, bootstrap=20, seed=1)
         assert len(calls) == want
 
 
@@ -528,8 +529,48 @@ class TestStackedDriver:
         args = (block, mu[:, None], s2[:, None], qs[:, None])
         b = np.mean(lqmath.lq_score_mu(*args) ** 2, axis=1)
         a = 1.0 / np.mean(lqmath.lq_curvature_mu(*args), axis=1)
-        got = ratio_test._sandwich_objectives(np.stack(xs), mlqe.DEFAULT_CONFIG)
+        got, _ = ratio_test._sandwich_objectives(np.stack(xs), lqrt.Q_GRID, mlqe.DEFAULT_CONFIG)
         assert got.tobytes() == (a * b * a).reshape(len(xs), -1).tobytes()
+
+    STATISTICS = {
+        "onesample": ("_batch_statistic_1samp", lambda x, y, m, q: lqrt.statistic_1samp(x, m, q)),
+        "pooled": ("_batch_statistic_ind_equal", lambda x, y, m, q: lqrt.statistic_ind_equal_var(x, y, q)),
+        "welch": ("_batch_statistic_ind_unequal", lambda x, y, m, q: lqrt.statistic_ind_unequal_var(x, y, q)),
+    }
+
+    @pytest.mark.parametrize("q", [None, 0.7])
+    @pytest.mark.parametrize("kind", ["onesample", "pooled", "welch"])
+    def test_free_fits_from_the_grid_equal_standalone_fits(self, monkeypatch, kind, q):
+        # the observed statistic takes each sample's free fit at q-hat off the grid's rows: stacked and
+        # alone, those are a standalone batch_fit_normal's bits, and the statistic is the public one's
+        name, public = self.STATISTICS[kind]
+        seen, real = [], getattr(ratio_test, name)
+
+        def spy(blocks, targets, qs, cfg, free=None):
+            if free is not None:
+                seen.append((blocks, qs, free))
+            return real(blocks, targets, qs, cfg, free)
+
+        monkeypatch.setattr(ratio_test, name, spy)
+        xs, ys = self._datasets()
+        samples = (np.stack(xs),) if kind == "onesample" else (np.stack(xs), np.stack(ys))
+        mu0 = np.array(self.MU0)
+        run = [ratio_test._test(samples, mu0, kind == "pooled", q, 20, range(5), mlqe.DEFAULT_CONFIG)]
+        for r in range(5):
+            alone = tuple(s[r:r + 1] for s in samples)
+            run.append(ratio_test._test(alone, mu0[r:r + 1], kind == "pooled", q, 20, [r], mlqe.DEFAULT_CONFIG))
+        assert len(seen) == 6
+        for blocks, qs, free in seen:
+            assert len(free) == len(blocks)
+            for block, fit in zip(blocks, free):
+                want = mlqe.batch_fit_normal(block, qs)
+                assert [f.tobytes() for f in fit] == [w.tobytes() for w in want]
+        stacked = run[0]
+        if q is None:
+            assert {1.0, 0.5} <= {o.q for o in stacked}
+        got = np.array([o.statistic for o in stacked])
+        want = np.array([public(x, y, m, o.q) for x, y, m, o in zip(xs, ys, self.MU0, stacked)])
+        assert got.tobytes() == want.tobytes()
 
     def test_per_row_q_likelihood_matches_scalar_rows(self):
         xs, _ = self._datasets()
