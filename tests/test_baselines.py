@@ -1,9 +1,11 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
 from lqrt import baselines
+from scipy import special
 
 from _oracles import signed_rank_enum_pvalue, sign_test_exact_pvalue, t_pvalue_quadrature
 
@@ -51,6 +53,40 @@ class TestTTest1Samp:
         for df in (2, 5, 30):
             ps = [baselines._t_two_sided(t, df) for t in (0.0, 0.5, 1.0, 2.0, 5.0, 9.0)]
             assert all(a >= b for a, b in zip(ps, ps[1:]))
+
+
+class TestTTestScale:
+    # x ~ N(1, 1) and y ~ N(0, 1), 30 each, from one generator
+    _rng = np.random.default_rng(0)
+    X = _rng.normal(1, 1, 30)
+    Y = _rng.normal(0, 1, 30)
+    MU0 = 0.3
+
+    def _outcomes(self, s):
+        x, y = self.X * s, self.Y * s
+        outs = [baselines.ttest_1samp(x, self.MU0 * s), baselines.ttest_ind(x, y),
+                baselines.ttest_ind(x, y, equal_var=False)]
+        return [(out.statistic, out.pvalue) for out in outs]
+
+    def test_power_of_two_scales_keep_every_bit(self):
+        want = self._outcomes(1.0)
+        for k in range(-1000, 1001):
+            assert self._outcomes(2.0**k) == want, k
+
+    def test_welch_df_when_one_sample_is_constant_and_the_other_tiny(self):
+        # y's spread is 1e-80 to 1e-150 of the largest magnitude: its squared variance used to underflow, df = 0/0
+        y = np.array([1.0, 2.0, 3.0])
+        for s in (1e-80, 1e-100, 1e-150):
+            out = baselines.ttest_ind([5.0, 5.0, 5.0], y * s, equal_var=False)
+            assert math.isfinite(out.statistic)
+            assert out.pvalue == baselines._t_two_sided(out.statistic, 2.0)  # df = m - 1 when x is constant
+
+    @pytest.mark.parametrize("s", [1e-170, 1e-160, 1e-155, 1e150, 1e160, 1e200])
+    def test_extreme_scales(self, s):
+        # the variance used to overflow or underflow here: t = 0, t = inf, or a Welch df of nan
+        for (t, p), (t1, p1) in zip(self._outcomes(s), self._outcomes(1.0)):
+            assert t == pytest.approx(t1, rel=1e-13)
+            assert p == pytest.approx(p1, rel=1e-13)
 
 
 class TestTTestRel:
@@ -191,6 +227,50 @@ class TestSignTest:
             got = baselines.sign_test(x, 0.0).pvalue
             assert got == sign_test_exact_pvalue(x, 0.0)
 
+    def test_exact_up_to_the_cutover(self):
+        limit = baselines._SIGN_EXACT_LIMIT
+        for n in (limit - 1, limit, limit + 1, limit + 2):
+            for above in (n // 2, n // 2 + 20, 3 * n // 5, n - 3):
+                x = np.concatenate([np.full(above, 1.0), np.full(n - above, -1.0)])
+                exact = min(1.0, 2.0 * baselines.binomial_tail(n, max(above, n - above)))
+                got = baselines.sign_test(x, 0.0).pvalue
+                if n <= limit:
+                    assert got == exact, (n, above)
+                else:
+                    assert abs(got - exact) <= 1e-13 * exact, (n, above)
+
+    def test_tail_at_a_million(self):
+        # P(K >= k) for k from n/2 to n/2 + 3000 (6 sigma), against tails summed at 30 digits with the
+        # term ratio (n - i)/(i + 1); terms past n/2 + 12 000 are below 1e-100 of every tail
+        n = 10**6
+        with mp.workdps(30):
+            term = mp.binomial(n, n // 2) / mp.mpf(2) ** n
+            terms = []
+            for i in range(n // 2, n // 2 + 12_001):
+                terms.append(term)
+                term = term * (n - i) / (i + 1)
+            tails = []
+            total = mp.mpf(0)
+            for term in reversed(terms):
+                total += term
+                tails.append(total)
+            tails.reverse()
+        slowest = 0.0
+        for j in range(3001):
+            k = n // 2 + j
+            start = time.perf_counter()
+            got = baselines.regularized_incomplete_beta(k, n - k + 1, 0.5)
+            slowest = max(slowest, time.perf_counter() - start)
+            assert abs(got - tails[j]) <= 1e-13 * tails[j], k
+        assert slowest < 0.05
+        for k in (n // 2, n // 2 + 1, n // 2 + 1500, n // 2 + 3000):
+            x = np.concatenate([np.full(k, 1.0), np.full(n - k, -1.0)])
+            start = time.perf_counter()
+            got = baselines.sign_test(x, 0.0).pvalue
+            assert time.perf_counter() - start < 0.05
+            want = min(1, 2 * tails[k - n // 2])
+            assert abs(got - want) <= 1e-13 * want, k
+
 
 class TestSpecialFunctions:
     def test_beta_boundaries(self):
@@ -203,8 +283,19 @@ class TestSpecialFunctions:
             a = float(rng.uniform(0.5, 60))
             b = float(rng.uniform(0.5, 60))
             x = float(rng.uniform(0, 1))
-            want = float(mp.betainc(a, b, 0, x, regularized=True))
-            assert abs(baselines.regularized_incomplete_beta(a, b, x) - want) <= 1e-10
+            assert_beta_accurate(a, b, x)
+
+    def test_beta_over_the_t_tests_reach(self):
+        # a = df/2 with df from 1 to 1e6, integral and not (Welch), b = 1/2, x = df/(df + t^2), |t| from 1e-6 to 40
+        rng = np.random.default_rng(61)
+        for i in range(2000):
+            df = 10 ** rng.uniform(0, 6)
+            df = float(round(df)) if i % 2 else float(df)
+            t = 10 ** rng.uniform(-6, math.log10(40))
+            a, b, x = df / 2, 0.5, df / (df + t * t)
+            assert_beta_accurate(a, b, x)
+            total = baselines.regularized_incomplete_beta(a, b, x) + baselines.regularized_incomplete_beta(b, a, 1 - x)
+            assert abs(total - 1.0) <= 4 * np.finfo(float).eps, (a, x)
 
     def test_beta_domain(self):
         with pytest.raises(ValueError):
@@ -236,7 +327,7 @@ class TestSpecialFunctions:
             assert baselines.binomial_tail(n, k) == direct
 
     def test_sign_test_at_large_n_against_high_precision(self):
-        # one tail of 5 000-odd recurrence steps, where two comb sums took seconds
+        # past the exact-sum cutover, so the tail is the incomplete beta I_{1/2}(5120, 4881)
         n, above = 10_000, 4_880
         x = np.concatenate([np.full(above, 1.0), np.full(n - above, -1.0)])
         with mp.workdps(40):
@@ -244,6 +335,18 @@ class TestSpecialFunctions:
         got = baselines.sign_test(x, 0.0).pvalue
         assert 0.01 < got < 0.05
         assert abs(got - float(want)) <= 1e-13 * float(want)
+
+
+def assert_beta_accurate(a, b, x):
+    # relative error at most 1e-13, or scipy's own where that is larger, down to 1e-300; below it absolute
+    with mp.workdps(40):
+        want = mp.betainc(a, b, 0, x, regularized=True)
+        got = baselines.regularized_incomplete_beta(a, b, x)
+        if want >= 1e-300:
+            bound = max(1e-13, float(abs(special.betainc(a, b, x) - want) / want))
+            assert float(abs(got - want) / want) <= bound, (a, b, x)
+        else:
+            assert abs(got - want) <= 1e-300, (a, b, x)
 
 
 def test_all_pvalues_in_unit_interval():

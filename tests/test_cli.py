@@ -322,12 +322,23 @@ class TestGoldenOutput:
         assert x.tolist() == px.tolist() and y.tolist() == py.tolist()
 
     def test_cli_test_run_does_not_load_scipy(self, sample_files):
-        # scipy is loaded only by the t-tests' incomplete beta
+        # the runtime needs numpy only: no test subcommand, t-test simulation or baseline loads scipy
         code = (
             "import sys, contextlib, io, lqrt\n"
-            "from lqrt import cli\n"
+            "import numpy as np\n"
+            "from lqrt import baselines, cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main(['onesample', {sample_files[0]!r}, '--seed', '1']) == 0\n"
+            "    assert cli.main(['simulate', '--scenario', 'unpaired_unequal_var', '--tests', 't', '--reps', '3',\n"
+            "                     '--eps', '0', '--seed', '1']) == 0\n"
+            "x, y = np.random.default_rng(5).normal(0.4, 1.0, (2, 1500))\n"
+            "baselines.ttest_1samp(x, 0.0); baselines.ttest_rel(x, y)\n"
+            "baselines.ttest_ind(x, y); baselines.ttest_ind(x, y, equal_var=False)\n"
+            "baselines.wilcoxon_signed_rank(x[:20]); baselines.wilcoxon_signed_rank(x, y); baselines.rank_sum(x, y)\n"
+            "baselines.sign_test(x[:30], 0.0); baselines.sign_test(x, 0.0)\n"
+            "baselines.regularized_incomplete_beta(2.5, 0.5, 0.3); baselines.normal_cdf(1.0)\n"
+            "baselines.binomial_tail(10, 3)\n"
+            "lqrt.ttest_1samp(x, 0.0); lqrt.ttest_rel(x, y); lqrt.ttest_ind(x, y, equal_var=False)\n"
             "print('scipy' in sys.modules, 'scipy.special' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
