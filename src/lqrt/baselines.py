@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lqmath import _paired_differences, as_sample, check_finite
+from .lqmath import _paired_samples, as_sample, check_finite
 
 __all__ = [
     "ClassicalOutcome",
@@ -207,8 +207,15 @@ def _unit_scale(*samples: np.ndarray) -> tuple[list[np.ndarray], int]:
     of the data scaled by 2^-e bit for bit, while squares of the data can
     neither overflow nor underflow.
     """
-    _, e = math.frexp(float(max(np.max(np.abs(s)) for s in samples)))
+    _, e = math.frexp(float(max(np.max(np.abs(s), initial=0.0) for s in samples)))
     return [np.ldexp(s, -e) for s in samples], e
+
+
+def _scaled_differences(x, y, min_len: int) -> np.ndarray:
+    # the paired differences x - y, taken on both samples divided by one power of two so that they
+    # cannot overflow; the division is exact, so the t statistic and the ranks keep their bits
+    (x, y), _ = _unit_scale(*_paired_samples(x, y, min_len))
+    return x - y
 
 
 def _t_two_sided(t: float, df: float) -> float:
@@ -243,7 +250,7 @@ def ttest_1samp(x, mu0: float) -> ClassicalOutcome:
 
 def ttest_rel(x, y) -> ClassicalOutcome:
     """Paired t-test: one-sample t-test of the differences against 0."""
-    out = ttest_1samp(_paired_differences(x, y, 2), 0.0)
+    out = ttest_1samp(_scaled_differences(x, y, 2), 0.0)
     return ClassicalOutcome(out.statistic, out.pvalue, "t_rel")
 
 
@@ -313,7 +320,7 @@ def wilcoxon_signed_rank(x, y=None) -> ClassicalOutcome:
     differences, tie-corrected normal approximation with continuity
     correction beyond.
     """
-    d = as_sample(x, 0, "x") if y is None else _paired_differences(x, y, 0)
+    d = as_sample(x, 0, "x") if y is None else _scaled_differences(x, y, 0)
     d = d[d != 0.0]
     if d.size == 0:
         return ClassicalOutcome(0.0, 1.0, "wilcoxon_signed_rank")

@@ -190,7 +190,7 @@ def _pvalues(test: str, setup: str, datasets, seeds, bootstrap: int) -> list[flo
     equal_var = setup == "unpaired_equal_var"
     if test == "lqrt":
         samples = tuple(np.stack(s) for s in zip(*datasets))
-        outcomes = ratio_test._test(samples, np.zeros(len(seeds)), equal_var, None, bootstrap, seeds, DEFAULT_CONFIG)
+        outcomes = ratio_test._test(samples, equal_var, None, bootstrap, seeds, DEFAULT_CONFIG)
         return [out.pvalue for out in outcomes]
     classical = {
         "t": lambda d: (baselines.ttest_1samp(d[0], 0.0) if len(d) == 1

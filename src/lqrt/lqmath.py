@@ -41,12 +41,21 @@ def as_sample(x, min_len: int, name: str = "sample") -> np.ndarray:
     return arr
 
 
-def _paired_differences(x, y, min_len: int, names=("x", "y")) -> np.ndarray:
-    # two paired samples, each checked by as_sample, as their differences x - y
+def _paired_samples(x, y, min_len: int, names=("x", "y")) -> tuple[np.ndarray, np.ndarray]:
+    # two paired samples, each checked by as_sample, of equal length
     x, y = as_sample(x, min_len, names[0]), as_sample(y, min_len, names[1])
     if x.shape != y.shape:
         raise ValueError("paired samples must have equal length")
-    return x - y
+    return x, y
+
+
+def _difference(x, y, names) -> np.ndarray:
+    # x - y of finite values (y a sample or a null value); a ValueError naming both when one overflows
+    with np.errstate(over="ignore"):
+        d = np.subtract(x, y)
+    if not np.isfinite(d).all():
+        raise ValueError(f"{names[0]} - {names[1]} overflows")
+    return d
 
 
 def _number(value, name: str, rule: str, ok) -> float:

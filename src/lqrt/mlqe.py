@@ -348,14 +348,10 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
 
             # extrapolate where the plain steps u -> x (back) and x -> y (ahead) are short,
             # point the same way and shrink; a point extrapolated by a > 1 was not reached by back
-            chained = tried <= 1.0 if trials else None
-            nxt, had_trials, trials = new, trials, chained is None or chained.any()
-            if trials:
-                dot = np.add.reduce(back * ahead)
-                gate = (ahead2 < back2) & (back2 < 0.01) & (dot > 0.9 * np.sqrt(back2 * ahead2))
-                if chained is not None:
-                    gate &= chained
-                trials = gate.any()
+            nxt, had_trials = new, trials
+            dot = np.add.reduce(back * ahead)
+            gate = (ahead2 < back2) & (back2 < 0.01) & (dot > 0.9 * np.sqrt(back2 * ahead2)) & (tried <= 1.0)
+            trials = gate.any()
             if trials:
                 curve = ahead - back
                 a = np.minimum(np.sqrt(back2 / np.add.reduce(curve * curve)), bound)

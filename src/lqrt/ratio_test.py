@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mlqe
-from .lqmath import _mu_derivatives, _paired_differences, as_sample, check_count, check_finite, check_q, lq_likelihood
+from .lqmath import (_difference, _mu_derivatives, _paired_samples, as_sample, check_count, check_finite, check_q,
+                     lq_likelihood)
 from .mlqe import DEFAULT_CONFIG, FitConfig
 
 __all__ = [
@@ -88,22 +89,22 @@ def _degenerate(*fits) -> np.ndarray:
     return bad
 
 
-# Each batch statistic takes one (B, n_k) block per sample, the null's
-# targets (per sample, None or the null mean of each row), the q of each row,
-# the FitConfig and each sample's free fit as batch_fit_normal returns it, or
-# None to have the statistic fit them where it needs them (the pooled one does
-# not).  It returns (statistic, degenerate), one value per row.
+# Each batch statistic tests mu = 0 on one sample or mu1 = mu2 on two.  It takes
+# one (B, n_k) block per sample, the q of each row, the FitConfig and each
+# sample's free fit as batch_fit_normal returns it, or None to have the
+# statistic fit them where it needs them (the pooled one does not).  It returns
+# (statistic, degenerate), one value per row.
 
 
-def _batch_statistic_1samp(blocks, targets, q, cfg: FitConfig, free=None):
-    (xs,), (mu0,) = blocks, targets
+def _batch_statistic_1samp(blocks, q, cfg: FitConfig, free=None):
+    (xs,) = blocks
     mu1, s21, _, conv1, clip1 = mlqe.batch_fit_normal(xs, q, cfg) if free is None else free[0]
-    _, s20, _, conv0, clip0 = mlqe.batch_fit_variance_known_mean(xs, mu0, q, cfg)
+    mu0, s20, _, conv0, clip0 = mlqe.batch_fit_variance_known_mean(xs, 0.0, q, cfg)
     d = np.maximum(2.0 * (_lik(xs, mu1, s21, q) - _lik(xs, mu0, s20, q)), 0.0)
     return d, _degenerate((conv1, clip1), (conv0, clip0))
 
 
-def _batch_statistic_ind_equal(blocks, targets, q, cfg: FitConfig, free=None):
+def _batch_statistic_ind_equal(blocks, q, cfg: FitConfig, free=None):
     xs, ys = blocks
     mx, my, s2, _, conv1, clip1 = mlqe.batch_fit_shared_variance(xs, ys, q, cfg)
     pooled = mlqe._joined(xs, ys)
@@ -113,7 +114,7 @@ def _batch_statistic_ind_equal(blocks, targets, q, cfg: FitConfig, free=None):
     return d, _degenerate((conv1, clip1), (conv0, clip0))
 
 
-def _batch_statistic_ind_unequal(blocks, targets, q, cfg: FitConfig, free=None):
+def _batch_statistic_ind_unequal(blocks, q, cfg: FitConfig, free=None):
     xs, ys = blocks
     fits = [mlqe.batch_fit_normal(b, q, cfg) for b in blocks] if free is None else free
     (mx, s2x, _, convx, clipx), (my, s2y, _, convy, clipy) = fits
@@ -134,21 +135,25 @@ def _stack(q, **samples) -> tuple:
     return tuple(as_sample(x, _min_len(q), name)[None, :] for name, x in samples.items())
 
 
+def _minus_null(q, x, null, name: str) -> tuple:
+    # x, checked for a test at q, minus the checked null value, as a stack of one dataset
+    (xs,) = _stack(q, x=x)
+    return (_difference(xs, check_finite(null, name), ("x", name)),)
+
+
 def statistic_1samp(x, mu0: float, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """One-sample ratio statistic for H0: mu = mu0; equals the Gaussian LRT at q = 1."""
-    samples = _stack(q, x=x)
-    mu0 = check_finite(mu0, "mu0")
-    return float(_batch_statistic_1samp(samples, (np.full(1, mu0),), np.full(1, check_q(q)), cfg)[0][0])
+    return float(_batch_statistic_1samp(_minus_null(q, x, mu0, "mu0"), np.full(1, check_q(q)), cfg)[0][0])
 
 
 def statistic_ind_equal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """Two-sample ratio statistic under a shared-variance alternative."""
-    return float(_batch_statistic_ind_equal(_stack(q, x=x, y=y), (None, None), np.full(1, check_q(q)), cfg)[0][0])
+    return float(_batch_statistic_ind_equal(_stack(q, x=x, y=y), np.full(1, check_q(q)), cfg)[0][0])
 
 
 def statistic_ind_unequal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """Two-sample ratio statistic with free per-sample variances."""
-    return float(_batch_statistic_ind_unequal(_stack(q, x=x, y=y), (None, None), np.full(1, check_q(q)), cfg)[0][0])
+    return float(_batch_statistic_ind_unequal(_stack(q, x=x, y=y), np.full(1, check_q(q)), cfg)[0][0])
 
 
 # NumPy's SeedSequence constants (numpy/random/bit_generator.pyx), for
@@ -269,18 +274,18 @@ def _count_pvalue(boot: np.ndarray, observed: float) -> float:
     return count / boot.size
 
 
-def _test(samples, null, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConfig) -> list[TestOutcome]:
+def _test(samples, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConfig) -> list[TestOutcome]:
     """The TestOutcomes of R datasets tested together; every test result is made here.
 
     `samples` holds one (R, n_k) block per sample, row r of each being
     dataset r, and `seeds` the R seeds.  One block is the one-sample test
-    of H0: mu = null[r]; two blocks are the two-sample test, pooled when
-    equal_var holds and Welch otherwise (`null` is then unused).  One
-    stacked run of the grid (Q_GRID with q None, else (q,)) fits every
-    sample free at each grid q and gives dataset r the q of its least
-    objective.  Each sample's fit there serves the observed statistic, and
-    its mean centres the sample, shifted to the null mean in the one-sample
-    test, for resampling with replacement, the samples in order within each
+    of H0: mu = 0 (the public entries test x - mu0); two blocks are the
+    two-sample test of equal means, pooled when equal_var holds and Welch
+    otherwise.  One stacked run of the grid (Q_GRID with q None, else (q,))
+    fits every sample free at each grid q and gives dataset r the q of its
+    least objective.  Each sample's fit there serves the observed statistic,
+    and its mean centres the sample, which puts it on the null, for
+    resampling with replacement, the samples in order within each
     repetition's substream.  Every phase is one batch over all datasets,
     with per-row q, and outcome r equals that of dataset r tested alone,
     bit for bit.  The resamples are index blocks read through lazy gathers
@@ -288,25 +293,21 @@ def _test(samples, null, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConf
     """
     bootstrap = check_count(bootstrap, "bootstrap")
     if len(samples) == 1:
-        statistic, targets = _batch_statistic_1samp, (np.asarray(null, dtype=float),)
+        statistic = _batch_statistic_1samp
     else:
         statistic = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
-        targets = (None, None)
     grid = Q_GRID if q is None else (check_q(q),)
     objectives, fits = _grid_objectives(samples, grid, cfg)
     best = _best_q(objectives)
     q = np.asarray(grid)[best]
     free = [[f[np.arange(len(best)), best] for f in fit] for fit in fits]
-    observed, _ = statistic(samples, targets, q, cfg, free)
-    centred = [
-        s - f[0][:, None] if t is None else s - f[0][:, None] + t[:, None] for s, f, t in zip(samples, free, targets)
-    ]
+    observed, _ = statistic(samples, q, cfg, free)
+    centred = [s - f[0][:, None] for s, f in zip(samples, free)]
     idx = _resample_indices(seeds, bootstrap, tuple(s.shape[1] for s in samples))
     resampled = tuple(
         mlqe._Gather((c.ravel(), i, np.repeat(np.arange(len(c)) * c.shape[1], bootstrap))) for c, i in zip(centred, idx)
     )
-    boot_targets = tuple(None if t is None else np.repeat(t, bootstrap) for t in targets)
-    boot, degen = statistic(resampled, boot_targets, np.repeat(q, bootstrap), cfg)
+    boot, degen = statistic(resampled, np.repeat(q, bootstrap), cfg)
     outcomes = []
     for r, stat in enumerate(observed.tolist()):
         rows = slice(r * bootstrap, (r + 1) * bootstrap)
@@ -323,16 +324,13 @@ def pvalue_bootstrap_1samp(
     seed=None,
     cfg: FitConfig = DEFAULT_CONFIG,
 ) -> tuple[float, float]:
-    """Bootstrap p-value for the one-sample test.
+    """Bootstrap p-value for the one-sample test, the test of x - mu0 against 0.
 
-    The sample is shifted so its robustly fitted mean sits at mu0, then
-    resampled with replacement; the p-value is the fraction of resampled
-    statistics exceeding the observed one.  Returns (pvalue,
-    degenerate_fraction).
+    x - mu0 is centred on its robustly fitted mean, then resampled with
+    replacement; the p-value is the fraction of resampled statistics
+    exceeding the observed one.  Returns (pvalue, degenerate_fraction).
     """
-    samples = _stack(q, x=x)
-    mu0 = check_finite(mu0, "mu0")
-    (out,) = _test(samples, [mu0], None, q, bootstrap, (seed,), cfg)
+    (out,) = _test(_minus_null(q, x, mu0, "mu0"), None, q, bootstrap, (seed,), cfg)
     return out.pvalue, out.degenerate_fraction
 
 
@@ -350,7 +348,7 @@ def pvalue_bootstrap_ind(
     Each sample is centered on its own robust mean and resampled
     independently (x then y within each repetition's substream).
     """
-    (out,) = _test(_stack(q, x=x, y=y), None, equal_var, q, bootstrap, (seed,), cfg)
+    (out,) = _test(_stack(q, x=x, y=y), equal_var, q, bootstrap, (seed,), cfg)
     return out.pvalue, out.degenerate_fraction
 
 
@@ -419,14 +417,12 @@ def lqrtest_1samp(x, u: float, q=None, bootstrap: int = 100, seed=None) -> TestO
     adaptively, which needs at least three observations.  The statistic
     does not depend on `bootstrap`; only the p-value resolution does.
     """
-    samples = _stack(q, x=x)
-    u = check_finite(u, "u")
-    return _test(samples, [u], None, q, bootstrap, (seed,), DEFAULT_CONFIG)[0]
+    return _test(_minus_null(q, x, u, "u"), None, q, bootstrap, (seed,), DEFAULT_CONFIG)[0]
 
 
 def lqrtest_rel(x1, x2, q=None, bootstrap: int = 100, seed=None) -> TestOutcome:
     """Paired two-sample test: one-sample test of the differences against 0."""
-    d = _paired_differences(x1, x2, _min_len(q), ("x1", "x2"))
+    d = _difference(*_paired_samples(x1, x2, _min_len(q), ("x1", "x2")), ("x1", "x2"))
     return lqrtest_1samp(d, 0.0, q=q, bootstrap=bootstrap, seed=seed)
 
 
@@ -436,4 +432,4 @@ def lqrtest_ind(x1, x2, equal_var: bool = True, q=None, bootstrap: int = 100, se
     equal_var=True pools the variance (Student-like); equal_var=False
     leaves the variances free (Welch-like).
     """
-    return _test(_stack(q, x1=x1, x2=x2), None, equal_var, q, bootstrap, (seed,), DEFAULT_CONFIG)[0]
+    return _test(_stack(q, x1=x1, x2=x2), equal_var, q, bootstrap, (seed,), DEFAULT_CONFIG)[0]

@@ -111,6 +111,14 @@ class TestTTestRel:
         assert ab.statistic == -ba.statistic
         assert ab.pvalue == ba.pvalue
 
+    def test_pairs_whose_differences_overflow(self):
+        # finite pairs whose x - y overflow: the differences used to be formed before any rescaling
+        x = np.array([1.0, 1.2, 0.9, 1.1]) * 1e308
+        y = -np.array([0.9, 1.1, 1.0, 1.3]) * 1e308
+        got = baselines.ttest_rel(x, y)
+        assert got == baselines.ttest_rel(x / 4, y / 4)
+        assert math.isfinite(got.statistic) and 0.0 < got.pvalue < 1.0
+
 
 class TestTTestInd:
     def test_identical_samples(self):
@@ -162,6 +170,15 @@ class TestWilcoxonSignedRank:
 
     def test_all_zero_differences(self):
         assert baselines.wilcoxon_signed_rank(np.zeros(6)).pvalue == 1.0
+
+    def test_pairs_whose_differences_overflow(self):
+        # x - y overflowed to +-inf, whose ranks tie: the test silently returned 2.5 and p = 1
+        x = np.array([1.7e308, -0.9e308, 0.5])
+        y = np.array([-1.7e308, 1.0e308, 0.1])
+        got = baselines.wilcoxon_signed_rank(x, y)
+        assert got == baselines.wilcoxon_signed_rank(x / 4, y / 4)
+        assert (got.statistic, got.pvalue) == (2.0, 0.75)
+        assert baselines.wilcoxon_signed_rank([], []) == baselines.ClassicalOutcome(0.0, 1.0, "wilcoxon_signed_rank")
 
     def test_exact_matches_enumeration_up_to_n12(self):
         rng = np.random.default_rng(54)

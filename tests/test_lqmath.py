@@ -286,6 +286,21 @@ class TestArgumentChecks:
             call(self._X, bad)
 
     @pytest.mark.parametrize("name, call", [
+        pytest.param("x - u", lambda x, v: lqrt.lqrtest_1samp(x, v, q=0.7, bootstrap=10, seed=1),
+                     id="lqrtest_1samp"),
+        pytest.param("x - mu0", lambda x, v: lqrt.statistic_1samp(x, v, 0.7), id="statistic_1samp"),
+        pytest.param("x - mu0", lambda x, v: lqrt.pvalue_bootstrap_1samp(x, v, 0.7, 10, seed=1),
+                     id="pvalue_bootstrap_1samp"),
+        pytest.param("x1 - x2", lambda x, v: lqrt.lqrtest_rel(x, np.full(x.size, v), q=0.7, bootstrap=10, seed=1),
+                     id="lqrtest_rel"),
+    ])
+    def test_difference_must_not_overflow(self, name, call):
+        # the tests form x - u (or x1 - x2) of finite values first; an overflow is named, not fit
+        x = np.array([1.7e308, -0.9e308, 0.5, 1.0])
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} overflows$"):
+            call(x, -1e308)
+
+    @pytest.mark.parametrize("name, call", [
         pytest.param("bootstrap", lambda x, k: lqrt.lqrtest_1samp(x, 0.0, q=0.7, bootstrap=k, seed=1),
                      id="lqrtest_1samp"),
         pytest.param("bootstrap", lambda x, k: lqrt.lqrtest_ind(x, x + 1.0, q=0.7, bootstrap=k, seed=1),

@@ -317,6 +317,29 @@ class TestLqrtestRel:
             lqrt.lqrtest_rel(y, x)
 
 
+class TestOneSampleShift:
+    """The one-sample test of x against u is the test of x - u against 0, bit for bit."""
+
+    @pytest.mark.parametrize("u", [0.25, -3.0, 1e6, 1e12])
+    def test_null_is_subtracted_first(self, u):
+        x = _readme_sample() + u
+        d = x - u
+        assert repr(lqrt.lqrtest_1samp(x, u, bootstrap=50, seed=3)) == repr(
+            lqrt.lqrtest_1samp(d, 0.0, bootstrap=50, seed=3))
+        assert repr(lqrt.pvalue_bootstrap_1samp(x, u, 0.7, 50, seed=3)) == repr(
+            lqrt.pvalue_bootstrap_1samp(d, 0.0, 0.7, 50, seed=3))
+        assert repr(lqrt.statistic_1samp(x, u, 0.7)) == repr(lqrt.statistic_1samp(d, 0.0, 0.7))
+
+    def test_shift_of_a_trillion(self):
+        # the fits used to run on data near 1e12, where the spacing of doubles (1.2e-4) stalls
+        # their stop test: 16 of 100 resamples were counted degenerate
+        x = _readme_sample()
+        at_zero = lqrt.lqrtest_1samp(x, 0.0, seed=1)
+        shifted = lqrt.lqrtest_1samp(x + 1e12, 1e12, seed=1)
+        assert shifted.degenerate_fraction == 0.0 == at_zero.degenerate_fraction
+        assert (shifted.q, shifted.pvalue) == (at_zero.q, at_zero.pvalue)
+
+
 class TestLqrtestInd:
     def test_null_not_rejected_both_flags(self):
         rng = np.random.default_rng(314)
@@ -484,7 +507,7 @@ class TestStackedDriver:
     def test_1samp_rows_equal_single_calls(self, q):
         xs, _ = self._datasets()
         seeds = list(range(40, 45))
-        stacked = ratio_test._test((np.stack(xs),), np.array(self.MU0), None, q, 60, seeds, mlqe.DEFAULT_CONFIG)
+        stacked = ratio_test._test((np.stack(xs) - np.c_[self.MU0],), None, q, 60, seeds, mlqe.DEFAULT_CONFIG)
         single = [lqrt.lqrtest_1samp(x, m, q=q, bootstrap=60, seed=s) for x, m, s in zip(xs, self.MU0, seeds)]
         assert [self._fields(o) for o in stacked] == [self._fields(o) for o in single]
         if q is None:
@@ -495,7 +518,7 @@ class TestStackedDriver:
     def test_ind_rows_equal_single_calls(self, q, equal_var):
         xs, ys = self._datasets()
         seeds = list(range(50, 55))
-        stacked = ratio_test._test((np.stack(xs), np.stack(ys)), None, equal_var, q, 60, seeds, mlqe.DEFAULT_CONFIG)
+        stacked = ratio_test._test((np.stack(xs), np.stack(ys)), equal_var, q, 60, seeds, mlqe.DEFAULT_CONFIG)
         single = [lqrt.lqrtest_ind(x, y, equal_var=equal_var, q=q, bootstrap=60, seed=s)
                   for x, y, s in zip(xs, ys, seeds)]
         assert [self._fields(o) for o in stacked] == [self._fields(o) for o in single]
@@ -505,7 +528,7 @@ class TestStackedDriver:
     def test_stacked_lqrtest_is_the_adaptive_test_of_each_row(self):
         xs, ys = self._datasets()
         seeds = [np.random.SeedSequence(9, spawn_key=(r,)) for r in range(5)]
-        got = ratio_test._test((np.stack(xs),), np.zeros(5), True, None, 40, seeds, mlqe.DEFAULT_CONFIG)
+        got = ratio_test._test((np.stack(xs),), True, None, 40, seeds, mlqe.DEFAULT_CONFIG)
         want = [lqrt.lqrtest_1samp(x, 0.0, bootstrap=40, seed=np.random.SeedSequence(9, spawn_key=(r,)))
                 for r, x in enumerate(xs)]
         assert got == want
@@ -546,19 +569,18 @@ class TestStackedDriver:
         name, public = self.STATISTICS[kind]
         seen, real = [], getattr(ratio_test, name)
 
-        def spy(blocks, targets, qs, cfg, free=None):
+        def spy(blocks, qs, cfg, free=None):
             if free is not None:
                 seen.append((blocks, qs, free))
-            return real(blocks, targets, qs, cfg, free)
+            return real(blocks, qs, cfg, free)
 
         monkeypatch.setattr(ratio_test, name, spy)
         xs, ys = self._datasets()
-        samples = (np.stack(xs),) if kind == "onesample" else (np.stack(xs), np.stack(ys))
-        mu0 = np.array(self.MU0)
-        run = [ratio_test._test(samples, mu0, kind == "pooled", q, 20, range(5), mlqe.DEFAULT_CONFIG)]
+        samples = (np.stack(xs) - np.c_[self.MU0],) if kind == "onesample" else (np.stack(xs), np.stack(ys))
+        run = [ratio_test._test(samples, kind == "pooled", q, 20, range(5), mlqe.DEFAULT_CONFIG)]
         for r in range(5):
             alone = tuple(s[r:r + 1] for s in samples)
-            run.append(ratio_test._test(alone, mu0[r:r + 1], kind == "pooled", q, 20, [r], mlqe.DEFAULT_CONFIG))
+            run.append(ratio_test._test(alone, kind == "pooled", q, 20, [r], mlqe.DEFAULT_CONFIG))
         assert len(seen) == 6
         for blocks, qs, free in seen:
             assert len(free) == len(blocks)
