@@ -6,8 +6,8 @@ function here is elementwise and broadcasts like numpy: scalars in,
 scalar out; a (B, n) data block with (B, 1) parameters, q among them,
 gives one row per fit.  The weights and the Lq-likelihood both come from
 one kernel, s log f(x | mu, sigma2) with s = 1 - q, in one pass for any
-mix of q.  These are the functions the fitters, the test statistics and
-q selection evaluate.
+mix of q.  The fitters, the test statistics and q selection evaluate it
+through private forms that check neither sigma2 nor q.
 """
 
 from __future__ import annotations
@@ -74,6 +74,15 @@ def check_q(q: float) -> float:
     return _number(q, "q", "satisfy 0 < q <= 1", lambda v: 0.0 < v <= 1.0)
 
 
+def _q_array(q) -> np.ndarray:
+    # q, a scalar or an array, as a float array; check_q's ValueError when an entry is not in (0, 1]
+    q = np.asarray(q, dtype=float)
+    bad = ~((q > 0.0) & (q <= 1.0))
+    if bad.any():
+        check_q(float(q[bad][0]))
+    return q
+
+
 def check_finite(value, name: str) -> float:
     """Validate a null value such as mu0: a finite number, returned as a float."""
     return _number(value, name, "be finite", math.isfinite)
@@ -111,7 +120,7 @@ def lq_log(u, q):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0):
         raise ValueError("lq_log requires positive input")
-    q = np.asarray(q, dtype=float)
+    q = _q_array(q)
     s = np.where(q == 1.0, 1.0, 1.0 - q)
     out = np.asarray(s * np.log(u))
     np.expm1(out, out=out, where=q != 1.0)
@@ -152,7 +161,7 @@ def lq_weight(x, mu, sigma2, q):
     usable (subnormal) weight where the density itself underflows to 0.
     """
     _check_sigma2(sigma2)
-    out = _weight(x, mu, sigma2, q)
+    out = _weight(x, mu, sigma2, _q_array(q))
     return out if np.ndim(out) else float(out)
 
 
@@ -169,14 +178,10 @@ def lq_likelihood(sample, mu, sigma2, q):
     if sample.size == 0:
         raise ValueError("lq_likelihood requires a non-empty sample")
     _check_sigma2(sigma2)
-    q = np.asarray(q, dtype=float)
+    q = _q_array(q)
     s = np.where(q == 1.0, 1.0, 1.0 - q)
     terms = _scaled_log_pdf(sample, mu, sigma2, s)
-    # the log form stays where q = 1; numpy's masked loop is slower, so only a mixed q passes a mask
-    below = q < 1.0
-    n_below = np.count_nonzero(below)
-    if n_below:
-        np.expm1(terms, out=terms, where=True if n_below == below.size else below)
+    np.expm1(terms, out=terms, where=q < 1.0)  # the log form stays where q = 1
     out = (terms.sum(axis=-1, keepdims=True) / s)[..., 0]
     return out if np.ndim(out) else float(out)
 
@@ -192,11 +197,11 @@ def _mu_derivatives(x, mu, sigma2, q):
 
 def lq_score_mu(x, mu, sigma2, q):
     """First mu-derivative of lq_log(f(x|mu,sigma2)): weight times Gaussian score."""
-    out = _mu_derivatives(x, mu, sigma2, q)[0]
+    out = _mu_derivatives(x, mu, sigma2, _q_array(q))[0]
     return out if np.ndim(out) else float(out)
 
 
 def lq_curvature_mu(x, mu, sigma2, q):
     """Second mu-derivative of lq_log(f(x|mu,sigma2))."""
-    out = _mu_derivatives(x, mu, sigma2, q)[1]
+    out = _mu_derivatives(x, mu, sigma2, _q_array(q))[1]
     return out if np.ndim(out) else float(out)

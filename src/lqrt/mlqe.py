@@ -4,8 +4,10 @@ Every fit is one fixed-point map.  Each observation gets the weight
 w_i = f(x_i | mu, sigma2)^(1-q) at the current parameters, and the
 parameters move to the weighted means and weighted variances under those
 weights.  The start is the same update with unit weights, i.e. the
-maximum-likelihood fit.  Variances are floored so the recursion cannot
-collapse onto a single observation.
+maximum-likelihood fit.  Each row's variances are floored at
+VARIANCE_FLOOR times the largest of its start variances, so the recursion
+cannot collapse onto a single observation, and the floor scales with the
+data.
 
 The four variants differ only in their constraint: which mean and which
 variance each sample block uses, and whether the mean is pinned.
@@ -55,7 +57,9 @@ __all__ = [
     "variance_bias_correction",
 ]
 
-# 64-bit machine epsilon: the smallest variance the recursion may report.
+# 64-bit machine epsilon: a fit's variances are floored at this multiple of
+# the largest of its maximum-likelihood start variances, or at this value
+# where that product is 0 (a constant sample).
 VARIANCE_FLOOR = float(np.finfo(np.float64).eps)
 
 # The fixed-point loop iterates the rows of a fit in a window of at most this
@@ -206,7 +210,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
     blocks = [x if isinstance(x, _Gather) else np.asarray(x, dtype=float) for x in blocks]
     B = blocks[0].shape[0]
     q_col = _q_column(q, B)
-    floor, tol, pinned = VARIANCE_FLOOR, cfg.tol, pinned_mu is not None
+    tol, pinned = cfg.tol, pinned_mu is not None
     mu0 = np.broadcast_to(np.asarray(pinned_mu, dtype=float), (B,)) if pinned else None
     mean_groups = [[k for k, i in enumerate(mean_of) if i == j] for j in range(max(mean_of) + 1)]
     var_groups = [[k for k, i in enumerate(var_of) if i == j] for j in range(max(var_of) + 1)]
@@ -259,8 +263,10 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
 
     def enter(rows, at):
         # Writes the rows' data to the data buffers from row `at` on and returns
-        # their start: the update with unit weights, the maximum-likelihood fit.
-        # With the mean pinned, the map reads the data only through the squared
+        # their start, the update with unit weights (the maximum-likelihood fit),
+        # their clip flags and their variance floor, VARIANCE_FLOOR times the
+        # largest start variance (VARIANCE_FLOOR where that product is 0).  With
+        # the mean pinned, the map reads the data only through the squared
         # deviations from it, so those stand in for the data.
         at = slice(at, at + rows.stop - rows.start)
         xs = [d[at] for d in data]
@@ -271,9 +277,11 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
                 np.square(np.subtract(slot, mu0[rows, None], out=slot), out=slot)
         start = update(xs, [None] * len(xs), [float(x.shape[1]) for x in xs], [s[at] for s in spare],
                        np.empty((P, len(xs[0]))))
+        floor = VARIANCE_FLOOR * np.maximum.reduce(start[J:])
+        floor[~(floor > 0.0)] = VARIANCE_FLOOR
         clip = np.logical_or.reduce(start[J:] < floor)
         np.maximum(start[J:], floor, out=start[J:])
-        return start, clip
+        return start, clip, floor
 
     def fresh(start):
         # the acceleration state of rows at their start: alt, back, back2, ref_total, bound and tried
@@ -285,7 +293,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
     # step into the point, and back2, its squared length (0 when there is none);
     # ref_total, the weight sum at the last point (x); the step bound; and tried,
     # the step a the point was extrapolated by (0 when it was not).
-    point, clip_a = enter(slice(0, cap), 0)
+    point, clip_a, floor_a = enter(slice(0, cap), 0)
     alt, back, back2, ref_total, bound, tried = fresh(point)
     idx, start, entered, step, trials = np.arange(cap), np.zeros(cap, dtype=np.int64), cap, 0, False
     q_a = q_col[:cap]
@@ -310,8 +318,8 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
                 for s in sw:
                     s[stuck] = 1.0
             new = update(xa, w, sw, [s[:m] for s in spare], np.empty((P, m)))
-            clip_new = np.logical_or.reduce(new[J:] < floor)
-            np.maximum(new[J:], floor, out=new[J:])
+            clip_new = np.logical_or.reduce(new[J:] < floor_a)
+            np.maximum(new[J:], floor_a, out=new[J:])
             scale = 1.0 if pinned else np.sqrt(np.maximum.reduce(new[J:]))
             ahead = scaled_step(point, new, scale)
             ahead2 = np.add.reduce(ahead * ahead)
@@ -360,7 +368,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
                 move = d * (2.0 * ahead + d * curve)
                 ext = np.empty_like(new)
                 np.add(new[:J], np.multiply(move[:J], scale, out=move[:J]), out=ext[:J])
-                np.maximum(np.multiply(new[J:], np.exp(move[J:], out=move[J:]), out=ext[J:]), floor, out=ext[J:])
+                np.maximum(np.multiply(new[J:], np.exp(move[J:], out=move[J:]), out=ext[J:]), floor_a, out=ext[J:])
                 nxt, tried = np.where(gate, ext, new), np.where(gate, a, 0.0)
             elif had_trials:
                 tried = np.zeros(m)
@@ -388,18 +396,18 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
                 nxt, alt, back, back2, ref_total, bound, tried = (
                     v[..., left] for v in (nxt, alt, back, back2, ref_total, bound, tried)
                 )
-                q_a = q_a[left]
+                q_a, floor_a = q_a[left], floor_a[left]
             point = nxt
             if 2 * len(idx) <= cap and entered < B:
                 rows = slice(entered, min(B, entered + cap - len(idx)))
-                new_point, new_clip = enter(rows, len(idx))
+                new_point, new_clip, new_floor = enter(rows, len(idx))
                 point, alt, back, back2, ref_total, bound, tried = (
                     np.concatenate([v, f], axis=-1)
                     for v, f in zip((point, alt, back, back2, ref_total, bound, tried), (new_point, *fresh(new_point)))
                 )
                 idx, clip_a = np.concatenate([idx, np.arange(rows.start, rows.stop)]), np.concatenate([clip_a, new_clip])
                 start = np.concatenate([start, np.full(len(new_clip), step)])
-                q_a = np.concatenate([q_a, q_col[rows]])
+                q_a, floor_a = np.concatenate([q_a, q_col[rows]]), np.concatenate([floor_a, new_floor])
                 entered = rows.stop
     means = [mu0.astype(float, copy=True)] if pinned else list(fitted[:J])
     return means, list(fitted[J:]), iterations, converged, clipped

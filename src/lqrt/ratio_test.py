@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mlqe
-from .lqmath import (_difference, _mu_derivatives, _paired_samples, as_sample, check_count, check_finite, check_q,
-                     lq_likelihood)
+from .lqmath import (_difference, _mu_derivatives, _paired_samples, _scaled_log_pdf, as_sample, check_count,
+                     check_finite, check_q)
 from .mlqe import DEFAULT_CONFIG, FitConfig
 
 __all__ = [
@@ -71,13 +71,20 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _lik(xs, mu, sigma2, q):
-    # one Lq-likelihood per row of xs, an array or a lazy gather, a slice of rows at a time;
-    # mu, sigma2 and q hold one value per row
-    out = np.empty(xs.shape[0])
-    for rows in mlqe._slices(0, *xs.shape):
-        out[rows] = lq_likelihood(xs[rows], mu[rows, None], sigma2[rows, None], q[rows, None])
-    return out
+def _ratio(blocks, alt, null, q):
+    # max(2 (l1 - l0), 0) per row, from each block's (mu, sigma2) under the alternative and the null.  The -1s of the
+    # terms (f^s - 1) / s, s = 1 - q, cancel: (2 / s) sum(f1^s - f0^s) keeps its digits at any scale (log f at q = 1).
+    below = q < 1.0
+    s = np.where(below, 1.0 - q, 1.0)
+    total = np.zeros(len(q))
+    for xs, *fits in zip(blocks, alt, null):
+        for rows in mlqe._slices(0, *xs.shape):
+            x = xs[rows]
+            z1, z0 = (_scaled_log_pdf(x, mu[rows, None], s2[rows, None], s[rows, None]) for mu, s2 in fits)
+            np.exp(z1, out=z1, where=below[rows, None])
+            np.exp(z0, out=z0, where=below[rows, None])
+            total[rows] += np.subtract(z1, z0, out=z1).sum(axis=1)
+    return np.maximum(2.0 * total / s, 0.0)
 
 
 def _degenerate(*fits) -> np.ndarray:
@@ -100,18 +107,14 @@ def _batch_statistic_1samp(blocks, q, cfg: FitConfig, free=None):
     (xs,) = blocks
     mu1, s21, _, conv1, clip1 = mlqe.batch_fit_normal(xs, q, cfg) if free is None else free[0]
     mu0, s20, _, conv0, clip0 = mlqe.batch_fit_variance_known_mean(xs, 0.0, q, cfg)
-    d = np.maximum(2.0 * (_lik(xs, mu1, s21, q) - _lik(xs, mu0, s20, q)), 0.0)
-    return d, _degenerate((conv1, clip1), (conv0, clip0))
+    return _ratio(blocks, [(mu1, s21)], [(mu0, s20)], q), _degenerate((conv1, clip1), (conv0, clip0))
 
 
 def _batch_statistic_ind_equal(blocks, q, cfg: FitConfig, free=None):
     xs, ys = blocks
     mx, my, s2, _, conv1, clip1 = mlqe.batch_fit_shared_variance(xs, ys, q, cfg)
-    pooled = mlqe._joined(xs, ys)
-    mu0, s20, _, conv0, clip0 = mlqe.batch_fit_normal(pooled, q, cfg)
-    l1 = _lik(xs, mx, s2, q) + _lik(ys, my, s2, q)
-    d = np.maximum(2.0 * (l1 - _lik(pooled, mu0, s20, q)), 0.0)
-    return d, _degenerate((conv1, clip1), (conv0, clip0))
+    mu0, s20, _, conv0, clip0 = mlqe.batch_fit_normal(mlqe._joined(xs, ys), q, cfg)
+    return _ratio(blocks, [(mx, s2), (my, s2)], [(mu0, s20)] * 2, q), _degenerate((conv1, clip1), (conv0, clip0))
 
 
 def _batch_statistic_ind_unequal(blocks, q, cfg: FitConfig, free=None):
@@ -119,9 +122,7 @@ def _batch_statistic_ind_unequal(blocks, q, cfg: FitConfig, free=None):
     fits = [mlqe.batch_fit_normal(b, q, cfg) for b in blocks] if free is None else free
     (mx, s2x, _, convx, clipx), (my, s2y, _, convy, clipy) = fits
     mu0, s2x0, s2y0, _, conv0, clip0 = mlqe.batch_fit_shared_mean(xs, ys, q, cfg)
-    l1 = _lik(xs, mx, s2x, q) + _lik(ys, my, s2y, q)
-    l0 = _lik(xs, mu0, s2x0, q) + _lik(ys, mu0, s2y0, q)
-    d = np.maximum(2.0 * (l1 - l0), 0.0)
+    d = _ratio(blocks, [(mx, s2x), (my, s2y)], [(mu0, s2x0), (mu0, s2y0)], q)
     return d, _degenerate((convx, clipx), (convy, clipy), (conv0, clip0))
 
 

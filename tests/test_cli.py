@@ -310,7 +310,8 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("argv, golden", GOLDEN_TESTS, ids=[g for _, g in GOLDEN_TESTS])
     def test_test_subcommands_match_golden_bytes(self, argv, golden):
-        # captured before `_test` chose its own statistic; every byte must stay
+        # p, q and degenerate_fraction were captured before `_test` chose its own statistic, and the
+        # statistic when it became one sum of weight differences; every byte must stay
         argv = [str(DATA / a) if a.endswith(".csv") else a for a in argv]
         proc = subprocess.run([sys.executable, "-m", "lqrt", *argv], capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()

@@ -328,6 +328,23 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
             call(self._X, bad)
 
+    @pytest.mark.parametrize("q, shown", [
+        (1.5, "1.5"), (0.0, "0.0"), (-0.1, "-0.1"), (np.nan, "nan"), (np.inf, "inf"),
+        (np.array([[0.7], [1.0], [2.0]]), "2.0"), (np.array([[0.5], [np.nan], [0.9]]), "nan"),
+    ])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda q: lqmath.lq_log(np.full((3, 4), 0.5), q), id="lq_log"),
+        pytest.param(lambda q: lqmath.lq_weight(np.zeros((3, 4)), 0.0, 1.0, q), id="lq_weight"),
+        pytest.param(lambda q: lqmath.lq_likelihood(np.zeros((3, 4)), 0.0, 1.0, q), id="lq_likelihood"),
+        pytest.param(lambda q: lqmath.lq_score_mu(np.zeros((3, 4)), 0.0, 1.0, q), id="lq_score_mu"),
+        pytest.param(lambda q: lqmath.lq_curvature_mu(np.zeros((3, 4)), 0.0, 1.0, q), id="lq_curvature_mu"),
+    ])
+    def test_primitives_check_q(self, call, q, shown):
+        # lq_weight(1, 0, 1, 1.5) used to return 2.03, and a NaN q a NaN
+        with pytest.raises(ValueError, match=rf"^q must satisfy 0 < q <= 1, got {shown}$"):
+            call(q)
+        call(np.where(np.isfinite(q) & (q > 0.0) & (q <= 1.0), q, 1.0))
+
     @pytest.mark.parametrize("bad", [0, 1, -0.1, np.nan, "abc", None])
     def test_alpha_must_lie_in_the_unit_interval(self, bad):
         # alpha=None used to raise TypeError from the comparison

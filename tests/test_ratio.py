@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -340,6 +341,57 @@ class TestOneSampleShift:
         assert (shifted.q, shifted.pvalue) == (at_zero.q, at_zero.pvalue)
 
 
+def _ratio_mp(blocks, alt, null, q):
+    # max(2 (l1 - l0), 0) of one row at 50 digits: 2 sum(l1 - l0) at q = 1, else (2 / s) sum(e^(s l1) - e^(s l0))
+    # with s = 1 - q, l being log f at a block's alternative and null fits.  The differences are summed as
+    # such: at 1e100 the sum of (e^(s l) - 1) / s loses every digit even at 50.
+    q = float(q[0])
+    with mp.workdps(50):
+        s = 1 - mp.mpf(q)  # exact: 1 - q rounds to no other float for q in [0.5, 1]
+        total = mp.mpf(0)
+        for xs, *fits in zip(blocks, alt, null):
+            for v in xs[0]:
+                l1, l0 = (-mp.log(2 * mp.pi * mp.mpf(s2[0])) / 2 - (mp.mpf(v) - mp.mpf(mu[0])) ** 2 / (2 * mp.mpf(s2[0]))
+                          for mu, s2 in fits)
+                total += l1 - l0 if q == 1.0 else mp.exp(s * l1) - mp.exp(s * l0)
+        return max(2 * total / (1 if q == 1.0 else s), 0)
+
+
+class TestStatisticAtAnyScale:
+    """The ratio statistics are sums of weight differences, so they hold from 1e-100 to 1e150."""
+
+    SCALES = (2.0 ** -20, 2.0 ** -30, 1e-8, 1e-9, 1e-100, 1e50, 1e100)
+
+    @pytest.mark.parametrize("q", [0.5, 0.7, 0.9, 0.99, 1.0])
+    def test_batch_statistics_against_mpmath(self, monkeypatch, q):
+        # each statistic against 50 digits at the fits the package made for it; taken as the difference
+        # of two Lq-likelihood sums, the statistic read 0 at 1e50 and 1e100 for q <= 0.7
+        seen, ratio = [], ratio_test._ratio
+        monkeypatch.setattr(ratio_test, "_ratio", lambda *args: seen.append(args) or ratio(*args))
+        x, y = _readme_pair()
+        for s in (1e-6, 1e-3, 1.0, 1e3, 1e50, 1e100, 1e150):
+            for statistic, samples in ((lqrt.statistic_1samp, (x * s, 0.0)),
+                                       (lqrt.statistic_ind_equal_var, (x * s, y * s)),
+                                       (lqrt.statistic_ind_unequal_var, (x * s, y * s))):
+                got = statistic(*samples, q)
+                want = _ratio_mp(*seen[-1])
+                assert want > 0 and abs(got - want) <= 1e-11 * want, (s, got, float(want))
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_readme_tests_at_scale(self, s):
+        # the s = 1 q, p and degenerate_fraction at every scale, the statistic times s^(1 - q) within 1e-8:
+        # at 2^-30, 1e-8 and 1e-9 the absolute variance floor chose q 0.5 and counted every resample
+        # degenerate, at 1e-100 it gave p = 1, and at 1e100 the statistic cancelled to 0
+        x, y = _readme_pair()
+        for test, stat in ((lambda k: lqrt.lqrtest_1samp(x * k, 0.0, seed=1), 6.71064769),
+                           (lambda k: lqrt.lqrtest_ind(x * k, y * k, seed=2), 4.86015069)):
+            at_one, scaled = test(1.0), test(s)
+            assert (scaled.q, scaled.pvalue, scaled.degenerate_fraction) == (
+                at_one.q, at_one.pvalue, at_one.degenerate_fraction)
+            assert at_one.statistic == pytest.approx(stat, rel=1e-9)
+            assert scaled.statistic * s ** (1.0 - scaled.q) == pytest.approx(at_one.statistic, rel=1e-8)
+
+
 class TestLqrtestInd:
     def test_null_not_rejected_both_flags(self):
         rng = np.random.default_rng(314)
@@ -410,9 +462,14 @@ def test_null_calibration_scale_free():
     assert lo <= rejections / reps <= hi
 
 
-def _readme_sample():
+def _readme_pair():
     rng = np.random.default_rng(314)
-    return np.concatenate([rng.normal(0.3, 1, 45), rng.normal(0.3, np.sqrt(50), 5)])
+    x = np.concatenate([rng.normal(0.3, 1, 45), rng.normal(0.3, np.sqrt(50), 5)])
+    return x, rng.normal(0.0, 1, 60)
+
+
+def _readme_sample():
+    return _readme_pair()[0]
 
 
 class TestOneFitPerTest:
