@@ -5,9 +5,9 @@ w_i = f(x_i | mu, sigma2)^(1-q) at the current parameters, and the
 parameters move to the weighted means and weighted variances under those
 weights.  The start is the same update with unit weights, i.e. the
 maximum-likelihood fit.  Each row's variances are floored at
-VARIANCE_FLOOR times the largest of its start variances, so the recursion
-cannot collapse onto a single observation, and the floor scales with the
-data.
+VARIANCE_FLOOR times the largest of its start variances (at VARIANCE_FLOOR
+itself for a constant sample), so the recursion cannot collapse onto a
+single observation, and the floor scales with the data.
 
 The four variants differ only in their constraint: which mean and which
 variance each sample block uses, and whether the mean is pinned.
@@ -59,7 +59,8 @@ __all__ = [
 
 # 64-bit machine epsilon: a fit's variances are floored at this multiple of
 # the largest of its maximum-likelihood start variances, or at this value
-# where that product is 0 (a constant sample).
+# where that product is 0 (a constant sample, whose start variance counts as
+# 0 even where the rounding of its mean leaves it near 1e-31).
 VARIANCE_FLOOR = float(np.finfo(np.float64).eps)
 
 # The fixed-point loop iterates the rows of a fit in a window of at most this
@@ -265,9 +266,11 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
         # Writes the rows' data to the data buffers from row `at` on and returns
         # their start, the update with unit weights (the maximum-likelihood fit),
         # their clip flags and their variance floor, VARIANCE_FLOOR times the
-        # largest start variance (VARIANCE_FLOOR where that product is 0).  With
-        # the mean pinned, the map reads the data only through the squared
-        # deviations from it, so those stand in for the data.
+        # largest start variance (VARIANCE_FLOOR where that product is 0).  A
+        # variance whose blocks each hold one value per mean counts as 0 there,
+        # though the rounding of a mean may leave it near 1e-31 of the value's
+        # square.  With the mean pinned, the map reads the data only through the
+        # squared deviations from it, so those stand in for the data.
         at = slice(at, at + rows.stop - rows.start)
         xs = [d[at] for d in data]
         for x, slot in zip(blocks, xs):
@@ -277,7 +280,18 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
                 np.square(np.subtract(slot, mu0[rows, None], out=slot), out=slot)
         start = update(xs, [None] * len(xs), [float(x.shape[1]) for x in xs], [s[at] for s in spare],
                        np.empty((P, len(xs[0]))))
-        floor = VARIANCE_FLOOR * np.maximum.reduce(start[J:])
+        spread = start[J:]
+        # the rounding of a mean leaves less than VARIANCE_FLOOR times its square, so only
+        # then are the blocks looked at
+        if not pinned and (spread < VARIANCE_FLOOR * np.square(start[:J]).max()).any():
+            one_value = [
+                functools.reduce(np.maximum, [xs[k].max(axis=1) for k in g])
+                == functools.reduce(np.minimum, [xs[k].min(axis=1) for k in g])
+                for g in mean_groups
+            ]
+            flat = [np.logical_and.reduce([one_value[mean_of[k]] for k in g]) for g in var_groups]
+            spread = np.where(flat, 0.0, spread)
+        floor = VARIANCE_FLOOR * np.maximum.reduce(spread)
         floor[~(floor > 0.0)] = VARIANCE_FLOOR
         clip = np.logical_or.reduce(start[J:] < floor)
         np.maximum(start[J:], floor, out=start[J:])

@@ -14,6 +14,19 @@ from itertools import product
 FLOOR = 2.220446049250313e-16
 
 
+def _variance(xs, mu=None):
+    """The exact variance of xs about mu (about their exact mean when mu is None)."""
+    xs = [Fraction(v) for v in xs]
+    m = sum(xs) / len(xs) if mu is None else Fraction(mu)
+    return sum((v - m) ** 2 for v in xs) / len(xs)
+
+
+def _floor(floor, *variances):
+    """floor times the largest maximum-likelihood variance, or floor itself where that is 0."""
+    relative = floor * float(max(variances))
+    return relative if relative > 0.0 else floor
+
+
 def _logpdf(x, mu, s2):
     return -0.5 * math.log(2.0 * math.pi * s2) - (x - mu) ** 2 / (2.0 * s2)
 
@@ -27,6 +40,7 @@ def fit_normal_oracle(xs, q, tol=1e-12, max_iter=50000, floor=FLOOR):
     n = len(xs)
     mu = sum(xs) / n
     s2 = sum((v - mu) ** 2 for v in xs) / n
+    floor = _floor(floor, _variance(xs))
     s2 = max(s2, floor)
     for _ in range(max_iter):
         w = _weights(xs, mu, s2, q)
@@ -44,6 +58,7 @@ def fit_normal_oracle(xs, q, tol=1e-12, max_iter=50000, floor=FLOOR):
 def fit_known_mean_oracle(xs, mu, q, tol=1e-12, max_iter=50000, floor=FLOOR):
     xs = [float(v) for v in xs]
     n = len(xs)
+    floor = _floor(floor, _variance(xs, mu))
     s2 = max(sum((v - mu) ** 2 for v in xs) / n, floor)
     for _ in range(max_iter):
         w = _weights(xs, mu, s2, q)
@@ -63,6 +78,7 @@ def fit_shared_variance_oracle(xs, ys, q, tol=1e-12, max_iter=50000, floor=FLOOR
     mx = sum(xs) / n
     my = sum(ys) / m
     s2 = (sum((v - mx) ** 2 for v in xs) + sum((v - my) ** 2 for v in ys)) / (n + m)
+    floor = _floor(floor, (_variance(xs) * n + _variance(ys) * m) / (n + m))
     s2 = max(s2, floor)
     for _ in range(max_iter):
         wx = _weights(xs, mx, s2, q)
@@ -92,6 +108,8 @@ def fit_shared_mean_oracle(xs, ys, q, tol=1e-12, max_iter=50000, floor=FLOOR):
     ys = [float(v) for v in ys]
     n, m = len(xs), len(ys)
     mu = (sum(xs) + sum(ys)) / (n + m)
+    exact_mu = (sum(map(Fraction, xs)) + sum(map(Fraction, ys))) / (n + m)
+    floor = _floor(floor, _variance(xs, exact_mu), _variance(ys, exact_mu))
     s2x = max(sum((v - mu) ** 2 for v in xs) / n, floor)
     s2y = max(sum((v - mu) ** 2 for v in ys) / m, floor)
     for _ in range(max_iter):

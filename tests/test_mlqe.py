@@ -35,6 +35,16 @@ class TestFitNormal:
         assert fit.sigma2 == VARIANCE_FLOOR
         assert fit.clipped
 
+    def test_constant_sample_whose_mean_rounds_clips_at_once(self):
+        # 1.7 * 7 / 7 rounds to 1.6999999999999997, but the sample has no spread
+        fit = lqrt.fit_normal([1.7] * 7, 0.7)
+        assert fit.sigma2 == VARIANCE_FLOOR and fit.clipped
+        assert fit.converged and fit.iterations == 1
+        pooled = lqrt.fit_shared_variance([1.7] * 5, [0.1] * 6, 0.7)
+        assert pooled.sigma2 == VARIANCE_FLOOR and pooled.clipped and pooled.iterations == 1
+        joint = lqrt.fit_shared_mean([1.7] * 5, [1.7] * 6, 0.7)
+        assert joint.sigma2_x == joint.sigma2_y == VARIANCE_FLOOR and joint.clipped and joint.iterations == 1
+
     def test_robust_variance_below_sample_variance(self):
         rng = np.random.default_rng(101)
         x = contaminated(rng, n=55, n_out=5)
@@ -51,9 +61,9 @@ class TestFitNormal:
             assert_allclose(fit.sigma2, np.mean((x - x.mean()) ** 2), rtol=1e-12)
 
     def test_variance_floor_randomized(self):
-        # the floor is VARIANCE_FLOOR times the maximum-likelihood variance, or VARIANCE_FLOOR itself
-        # where that is 0: a constant sample whose mean is exact clips there, and a sample whose spread
-        # is 1e-12 fits a variance far below VARIANCE_FLOOR
+        # a constant sample clips at VARIANCE_FLOOR, whether or not its mean rounds; any other sample
+        # is floored at VARIANCE_FLOOR times its maximum-likelihood variance, so one whose spread is
+        # 1e-12 fits a variance far below VARIANCE_FLOOR
         rng = np.random.default_rng(8)
         for _ in range(10_000):
             kind = rng.integers(0, 3)
@@ -64,11 +74,10 @@ class TestFitNormal:
             else:
                 x = rng.uniform(-1, 1) + rng.normal(0, 1e-12, rng.integers(2, 12))
             fit = lqrt.fit_normal(x, rng.uniform(0.5, 1.0))
-            start = np.mean((x - x.mean()) ** 2)
-            if start == 0.0:
+            if kind == 1:
                 assert fit.sigma2 == VARIANCE_FLOOR and fit.clipped
             else:
-                assert fit.sigma2 >= VARIANCE_FLOOR * start
+                assert fit.sigma2 >= VARIANCE_FLOOR * np.mean((x - x.mean()) ** 2)
 
     def test_fixed_point_consistency(self):
         # one more hand-applied update step must move a converged fit < tol
@@ -213,6 +222,25 @@ class TestOracleAgreementAllFitters:
             fitk = lqrt.fit_variance_known_mean(x, 0.1, q, TIGHT)
             _, s2k = fit_known_mean_oracle(x, 0.1, q)
             assert_allclose(fitk.sigma2, s2k, rtol=1e-8)
+
+    def test_all_fitters_at_a_small_scale(self):
+        # the README sample times 1e-9: every variance is near 1e-18, far below VARIANCE_FLOOR, which
+        # bound each of these fits while the floor was absolute
+        rng = np.random.default_rng(314)
+        x = 1e-9 * np.concatenate([rng.normal(0.3, 1, 45), rng.normal(0.3, np.sqrt(50), 5)])
+        y = 1e-9 * rng.normal(0.0, 1, 60)
+        q, tiny = 0.7, 1e-17
+        fit = lqrt.fit_normal(x, q, TIGHT)
+        assert_allclose([fit.mu, fit.sigma2], fit_normal_oracle(x, q), rtol=1e-8, atol=tiny)
+        fitk = lqrt.fit_variance_known_mean(x, 1e-10, q, TIGHT)
+        assert_allclose(fitk.sigma2, fit_known_mean_oracle(x, 1e-10, q)[1], rtol=1e-8)
+        fsv = lqrt.fit_shared_variance(x, y, q, TIGHT)
+        assert_allclose([fsv.mu_x, fsv.mu_y, fsv.sigma2], fit_shared_variance_oracle(x, y, q), rtol=1e-8, atol=tiny)
+        fsm = lqrt.fit_shared_mean(x, y, q, TIGHT)
+        assert_allclose([fsm.mu, fsm.sigma2_x, fsm.sigma2_y], fit_shared_mean_oracle(x, y, q), rtol=1e-8, atol=tiny)
+        for f in (fit, fitk, fsv, fsm):
+            assert f.converged and not f.clipped
+        assert max(fit.sigma2, fitk.sigma2, fsv.sigma2, fsm.sigma2_x, fsm.sigma2_y) < VARIANCE_FLOOR
 
 
 class TestWindow:
