@@ -25,11 +25,18 @@ the batch-of-one case, so both paths share the same numerics.
 `_fixed_point` accelerates each row by a safeguarded SQUAREM (Varadhan &
 Roland 2008): once a row's last two plain steps are short, point the same
 way and shrink, its next point extrapolates along them, in sigma-scaled
-means and log variances.  The map's output there is kept only if the map's
-next step is no longer than the plain step it replaces and the point's
-Lq-likelihood is at least that of the plain iterate before it; otherwise
-the row goes on from its plain iterate.  MLqE fixed points are not unique,
-and these guards keep a row on the fixed point its plain path reaches.
+means and log variances, by at most REACH past the plain iterate.  Whether
+the map's output there is kept depends on what the map guarantees.  The
+normal, known-mean and shared-variance maps are weighted-MLE steps, hence
+minorize-maximize steps for the Lq-likelihood (f^s >= f0^s (1 + s log(f/f0))
+as exp is convex): the output is kept when the point's Lq-likelihood is at
+least that of the plain iterate before it.  The shared-mean map pools the
+samples' means without their variances and can lower the Lq-likelihood:
+its output is kept when the map's next step is no longer than the plain
+step it replaces.  Otherwise the row goes on from its plain iterate.  MLqE
+fixed points are not unique, and a higher Lq-likelihood does not show that a
+trial stayed in the basin of the fixed point its plain path reaches; the
+reach is what keeps it there.
 `iterations` and `max_iter` count map evaluations, rejected ones included,
 and a fit returns the output of its last kept map evaluation.
 """
@@ -68,6 +75,10 @@ VARIANCE_FLOOR = float(np.finfo(np.float64).eps)
 # that size.  A single pass over many rows takes an eighth of a window of them
 # at a time (_slices).
 WINDOW_ELEMENTS = 2**16
+
+# A SQUAREM trial moves each row at most this far past its plain iterate y, in
+# means over the largest standard deviation and in log variances.
+REACH = 0.25
 
 
 class _Gather:
@@ -195,12 +206,16 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
     step x -> y out of it are both shorter than 0.1, have a cosine above 0.9
     and the second is the shorter, the row's next point is the SqS3
     extrapolation from u, x and y at a step a in [1, bound]; at a = 1 that is
-    y itself.  The map evaluation at a trial is kept when the map's step from
-    it is no longer than x -> y and its weight sums give an Lq-likelihood at
-    least that of x (for q < 1 it is (sum of weights - n) / (1 - q)).  A trial
-    at a > 1 that fails goes back to y, and its evaluation sets no stop, clip
-    or stuck flag.  The bound starts at 1, grows 4-fold when a trial at the
-    bound is kept and shrinks 4-fold when one is rejected.
+    y itself.  Its move past y is shortened to REACH in its longest
+    coordinate.  With one variance group the map is a weighted-MLE step, and
+    the map evaluation at a trial is kept when its weight sums give an
+    Lq-likelihood at least that of x (for q < 1 it is (sum of weights - n) /
+    (1 - q)); with the shared mean it is kept when the map's step from it is
+    no longer than x -> y.  A trial at a > 1 that fails goes back to y, and
+    its evaluation sets no stop, clip or stuck flag.  The bound starts at 1
+    and shrinks 4-fold when a trial is rejected.  When a trial at the bound
+    is kept it grows 4-fold for the shared mean, and is lifted for good for
+    the other maps, whose reach and likelihood guard suffice.
 
     Rows iterate in a window of at most WINDOW_ELEMENTS values (one row at
     least).  Once half the window has finished, the next rows take the freed
@@ -297,6 +312,10 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
         np.maximum(start[J:], floor, out=start[J:])
         return start, clip, floor
 
+    # the map of a fit with one variance group is a minorize-maximize step
+    mm = len(var_groups) == 1
+    grow = np.inf if mm else 4.0
+
     def fresh(start):
         # the acceleration state of rows at their start: alt, back, back2, ref_total, bound and tried
         rows = start.shape[1]
@@ -307,13 +326,14 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
     # step into the point, and back2, its squared length (0 when there is none);
     # ref_total, the weight sum at the last point (x); the step bound; and tried,
     # the step a the point was extrapolated by (0 when it was not).
-    point, clip_a, floor_a = enter(slice(0, cap), 0)
-    alt, back, back2, ref_total, bound, tried = fresh(point)
-    idx, start, entered, step, trials = np.arange(cap), np.zeros(cap, dtype=np.int64), cap, 0, False
-    q_a = q_col[:cap]
     # a row that overflows stops as stuck, and the extrapolation of a row outside the
-    # gate may divide by zero or overflow before np.where drops it: no warning is due
+    # gate may divide by zero or overflow before np.where drops it: no warning is due,
+    # in the first window as in the later ones
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        point, clip_a, floor_a = enter(slice(0, cap), 0)
+        alt, back, back2, ref_total, bound, tried = fresh(point)
+        idx, start, entered, step, trials = np.arange(cap), np.zeros(cap, dtype=np.int64), cap, 0, False
+        q_a = q_col[:cap]
         while len(idx):
             m, step = len(idx), step + 1
             xa = [d[:m] for d in data]
@@ -340,14 +360,14 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
 
             any_reject = False
             if trials:
-                # a trial is kept when the map's step from it is no longer than x -> y
-                # and its Lq-likelihood is at least that of x
-                kept = (total >= ref_total) & (ahead2 <= back2)
+                # a trial is kept when its Lq-likelihood is at least that of x (one variance),
+                # or when the map's step from it is no longer than x -> y (shared mean)
+                kept = total >= ref_total if mm else ahead2 <= back2
                 if any_stuck:
                     kept &= ~stuck
                 # a trial at a = 1 is the plain step, so only one at a > 1 (and a bound of 4 or more) is rejected
                 reject = (tried > 1.0) > kept
-                bound = bound * np.where(kept & (tried == bound), 4.0, np.where(reject, 0.25, 1.0))
+                bound = bound * np.where(kept & (tried == bound), grow, np.where(reject, 0.25, 1.0))
                 any_reject = reject.any()
             if any_reject:
                 # the evaluation at a rejected point counts for nothing; the row goes on from y
@@ -376,10 +396,17 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
             trials = gate.any()
             if trials:
                 curve = ahead - back
-                a = np.minimum(np.sqrt(back2 / np.add.reduce(curve * curve)), bound)
+                curve2 = np.add.reduce(curve * curve)
+                # ahead2 < back2 makes the curve nonzero, but its square may underflow to 0,
+                # and an unbounded step would then be infinite: such a row steps plainly
+                gate &= curve2 > 0.0
+                a = np.minimum(np.sqrt(back2 / curve2), bound)
                 d = a - 1.0
                 # y + 2d (y - x) + d^2 (y - 2x + u): the SqS3 point at step a = 1 + d, exactly y at d = 0
                 move = d * (2.0 * ahead + d * curve)
+                # shortened to REACH in its longest coordinate: a longer extrapolation can cross
+                # into the basin of another fixed point however high its Lq-likelihood
+                np.multiply(move, np.minimum(1.0, REACH / np.maximum.reduce(np.abs(move))), out=move)
                 ext = np.empty_like(new)
                 np.add(new[:J], np.multiply(move[:J], scale, out=move[:J]), out=ext[:J])
                 np.maximum(np.multiply(new[J:], np.exp(move[J:], out=move[J:]), out=ext[J:]), floor_a, out=ext[J:])

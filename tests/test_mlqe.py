@@ -345,6 +345,18 @@ class TestWindow:
         assert mlqe._joined(block, mlqe._Gather.of_rows(block, rows[:6]))[:].tobytes() == mixed.tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("window", ["whole", "one_row"])
+@pytest.mark.parametrize("fit", sorted(TestWindow.FITS))
+def test_overflowing_rows_warn_in_no_window(monkeypatch, fit, window):
+    # TestWindow's batch holds rows whose squares overflow; in one window every row enters with
+    # the first, in windows of one row all but row 0 enter later, and neither warns
+    width = {"whole": 2**62, "one_row": TestWindow.WIDTH[fit]}[window]
+    monkeypatch.setattr(mlqe, "WINDOW_ELEMENTS", width)
+    *_, iterations, converged, clipped = TestWindow.FITS[fit](*TestWindow._batch("per_row"), DEFAULT_CONFIG)
+    assert (iterations[20], converged[20], clipped[20]) == (1, False, True)
+
+
 def test_variance_bias_correction():
     assert lqrt.variance_bias_correction(1.0, 1.0) == 1.0
     assert lqrt.variance_bias_correction(2.0, 0.5) == 1.0
@@ -403,6 +415,31 @@ def plain_fit(blocks, mean_of, var_of, q, mu0=None, tol=1e-12, max_iter=20_000):
             if not len(active):
                 break
     return mu, s2, iterations, converged
+
+
+def plain_step(blocks, mean_of, var_of, q, mu, s2, pinned=False):
+    """One step of the reweighting map from (mu, s2), each shaped (groups, rows), with q one value per row.
+
+    The weights are lq_weight at the point; each mean group moves to its
+    blocks' pooled weighted mean (unless pinned) and each variance group to
+    its blocks' pooled weighted squared deviations from the new means.
+    """
+    w = [lqmath.lq_weight(x, mu[i][:, None], s2[j][:, None], q[:, None]) for x, i, j in zip(blocks, mean_of, var_of)]
+    sw = [wk.sum(axis=1) for wk in w]
+
+    def pooled(values, of):
+        return np.array([sum(v for v, g in zip(values, of) if g == j) for j in range(max(of) + 1)])
+
+    if not pinned:
+        mu = pooled([(wk * x).sum(axis=1) for wk, x in zip(w, blocks)], mean_of) / pooled(sw, mean_of)
+    dev = [(wk * (x - mu[i][:, None]) ** 2).sum(axis=1) for wk, x, i in zip(w, blocks, mean_of)]
+    return mu, pooled(dev, var_of) / pooled(sw, var_of)
+
+
+def lq_total(blocks, mean_of, var_of, q, mu, s2):
+    """The Lq-likelihood of every row at (mu, s2): the sum of lq_likelihood over the blocks."""
+    return sum(lqmath.lq_likelihood(x, mu[i][:, None], s2[j][:, None], q[:, None])
+               for x, i, j in zip(blocks, mean_of, var_of))
 
 
 class TestAcceleration:
@@ -494,3 +531,55 @@ class TestAcceleration:
         assert iterations.mean() <= ratio * plain.mean()
         cap = DEFAULT_CONFIG.max_iter
         assert np.count_nonzero(iterations >= cap) <= np.count_nonzero(plain >= cap)
+
+    @pytest.mark.parametrize("fit", ["normal", "known_mean", "shared_variance"])
+    def test_a_plain_step_never_lowers_the_lq_likelihood(self, fit):
+        # the map of a fit with one variance is a weighted-MLE step and so a minorize-maximize step:
+        # f^s >= f0^s (1 + s log(f / f0)) as exp is convex.  _fixed_point judges their trials by
+        # likelihood alone, so any point of any sample must do, not only the points a fit passes through
+        _, mean_of, var_of, pinned = self.FITS[fit]
+        xs, ys, _, _ = self._contaminated_batch()
+        rng = np.random.default_rng(43)
+        rows = np.repeat(np.arange(len(xs)), 3)
+        blocks = [xs[rows]] if len(mean_of) == 1 else [xs[rows], ys[rows]]
+        q = rng.uniform(0.5, 0.99, len(rows))
+        centre = np.mean([b.mean(axis=1) for b in blocks], axis=0)
+        spread = np.mean([b.var(axis=1) for b in blocks], axis=0)
+        mu = centre + np.sqrt(spread) * rng.normal(0.0, 2.0, (max(mean_of) + 1, len(rows)))
+        s2 = spread * np.exp(rng.uniform(-4.0, 4.0, (max(var_of) + 1, len(rows))))
+        before = lq_total(blocks, mean_of, var_of, q, mu, s2)
+        after = lq_total(blocks, mean_of, var_of, q, *plain_step(blocks, mean_of, var_of, q, mu, s2, pinned))
+        assert np.all(after >= before - 1e-12 * np.abs(before))
+
+    def test_a_shared_mean_step_can_lower_the_lq_likelihood(self):
+        # the shared-mean map pools the samples' weighted sums without their variances, so it is no
+        # weighted-MLE step: from a mean at x with a small variance, it moves towards y and loses
+        # likelihood.  This is why _fixed_point judges its trials by step length instead
+        blocks = [np.array([[0.0, 1.0, 0.5]]), np.array([[10.0, 30.0, 14.0]])]
+        q, mu, s2 = np.array([0.7]), np.array([[0.5]]), np.array([[1.0], [100.0]])
+        before = lq_total(blocks, (0, 0), (0, 1), q, mu, s2)
+        after = lq_total(blocks, (0, 0), (0, 1), q, *plain_step(blocks, (0, 0), (0, 1), q, mu, s2))
+        assert after[0] < before[0] - 0.2 * abs(before[0])
+
+    def test_the_reach_keeps_a_trial_in_its_basin(self):
+        # a resample whose plain path climbs for 707 steps to a wide fixed point beside a narrow one of
+        # higher Lq-likelihood (sigma2 0.0062): trials judged by likelihood alone land on the narrow
+        # one unless each stays within mlqe.REACH of its plain iterate
+        x = contaminated(np.random.default_rng(2))
+        row = x[np.random.default_rng(9).integers(0, 50, (200, 50))[94]]
+        fit = lqrt.fit_normal(row, 0.5)
+        mu, s2, _, converged = plain_fit([row[None]], (0,), (0,), 0.5)
+        assert fit.converged and not fit.clipped and converged[0]
+        assert abs(fit.mu - mu[0, 0]) <= 1e-6 * np.sqrt(s2[0, 0]) and abs(fit.sigma2 - s2[0, 0]) <= 1e-6 * s2[0, 0]
+
+    # the largest map evaluations per row and the rows at max_iter on the contaminated batch at q = 0.5
+    TAIL = {"normal": (142, 0), "known_mean": (51, 0), "shared_variance": (155, 0), "shared_mean": (320, 0)}
+
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_the_slowest_rows_stay_short(self, fit):
+        # map evaluations depend on the arithmetic only, not on the machine's speed
+        xs, ys, mu0, _ = self._contaminated_batch()
+        iterations = self.FITS[fit][0](xs, ys, mu0, 0.5, DEFAULT_CONFIG)[-3]
+        slowest, at_cap = self.TAIL[fit]
+        assert iterations.max() <= slowest
+        assert np.count_nonzero(iterations >= DEFAULT_CONFIG.max_iter) <= at_cap
