@@ -188,7 +188,6 @@ def lq_likelihood(sample, mu, sigma2, q):
 
 def _mu_derivatives(x, mu, sigma2, q):
     # the first and second mu-derivatives of lq_log(f(x|mu,sigma2)), from one weight evaluation
-    _check_sigma2(sigma2)
     x = np.asarray(x, dtype=float)
     w = _weight(x, mu, sigma2, q)
     z = (x - mu) / sigma2
@@ -197,11 +196,13 @@ def _mu_derivatives(x, mu, sigma2, q):
 
 def lq_score_mu(x, mu, sigma2, q):
     """First mu-derivative of lq_log(f(x|mu,sigma2)): weight times Gaussian score."""
+    _check_sigma2(sigma2)
     out = _mu_derivatives(x, mu, sigma2, _q_array(q))[0]
     return out if np.ndim(out) else float(out)
 
 
 def lq_curvature_mu(x, mu, sigma2, q):
     """Second mu-derivative of lq_log(f(x|mu,sigma2))."""
+    _check_sigma2(sigma2)
     out = _mu_derivatives(x, mu, sigma2, _q_array(q))[1]
     return out if np.ndim(out) else float(out)

@@ -9,25 +9,32 @@ VARIANCE_FLOOR times the largest of its start variances (at VARIANCE_FLOOR
 itself for a constant sample), so the recursion cannot collapse onto a
 single observation, and the floor scales with the data.
 
-The four variants differ only in their constraint: which mean and which
-variance each sample block uses, and whether the mean is pinned.
+The fits differ only in their constraint: which mean and which variance
+each sample block uses, and whether the mean is pinned at 0.
 
 - `batch_fit_normal`: one block, free mean and variance.
-- `batch_fit_variance_known_mean`: one block, mean pinned.
+- `batch_fit_variance_known_mean`: one block, mean pinned at 0 (a known mean
+  mu is pinned by fitting the data minus mu).
 - `batch_fit_shared_variance`: two blocks, two means, one variance.
 - `batch_fit_shared_mean`: two blocks, one mean, two variances.
+- the pooled test's null: two blocks, one mean, one variance, the two samples
+  fit as if joined.
 
 One driver, `_fixed_point`, runs all of them on many independent rows in
 lockstep, which is what makes the bootstrap loops and the q grid
 affordable.  The public fitters operate on one sample (or one pair) as
-the batch-of-one case, so both paths share the same numerics.
+the batch-of-one case, so both paths share the same numerics.  A row
+stops when the map's last step is below tol in sigma-scaled means and log
+variance ratios, which bounds the step, not the distance to the fixed
+point, or stops stuck when some parameter group's weights do not sum to a
+positive number.
 
 `_fixed_point` accelerates each row by a safeguarded SQUAREM (Varadhan &
 Roland 2008): once a row's last two plain steps are short, point the same
 way and shrink, its next point extrapolates along them, in sigma-scaled
 means and log variances, by at most REACH past the plain iterate.  Whether
 the map's output there is kept depends on what the map guarantees.  The
-normal, known-mean and shared-variance maps are weighted-MLE steps, hence
+normal, known-mean, shared-variance and pooled maps are weighted-MLE steps, hence
 minorize-maximize steps for the Lq-likelihood (f^s >= f0^s (1 + s log(f/f0))
 as exp is convex): the output is kept when the point's Lq-likelihood is at
 least that of the plain iterate before it.  The shared-mean map pools the
@@ -44,11 +51,11 @@ and a fit returns the output of its last kept map evaluation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lqmath import _number, _weight, as_sample, check_count, check_finite, check_q
+from .lqmath import _difference, _number, _weight, as_sample, check_count, check_finite, check_q
 
 __all__ = [
     "VARIANCE_FLOOR",
@@ -84,31 +91,23 @@ REACH = 0.25
 class _Gather:
     """A (B, n) float block built a few rows at a time: row i is base[offset[i] + index[i]].
 
-    A part is a 1-D base, a (B, n_k) index block of small integers and a
-    (B,) offset, so each row reads its own stretch of the base.  Several
-    parts sit side by side.  Only .shape and row slicing are offered, so no
-    more rows are built than are asked for.
+    base is 1-D, index a (B, n) block of small integers and offset (B,), so
+    each row reads its own stretch of the base.  Only .shape and row slicing
+    are offered, so no more rows are built than are asked for.
     """
 
-    def __init__(self, *parts):
-        self.parts = parts
-        self.shape = (len(parts[0][1]), sum(index.shape[1] for _, index, _ in parts))
+    def __init__(self, base, index, offset):
+        self.base, self.index, self.offset = base, index, offset
+        self.shape = index.shape
 
     @classmethod
     def of_rows(cls, block, rows):
         # whole rows of a 2-D block, row i being block[rows[i]]
         n = block.shape[1]
-        return cls((block.ravel(), np.broadcast_to(np.arange(n), (len(rows), n)), rows * n))
+        return cls(block.ravel(), np.broadcast_to(np.arange(n), (len(rows), n)), rows * n)
 
     def __getitem__(self, rows):
-        got = [base[index[rows] + offset[rows, None]] for base, index, offset in self.parts]
-        return got[0] if len(got) == 1 else np.concatenate(got, axis=1)
-
-
-def _joined(*blocks):
-    # blocks side by side as one _Gather of their parts; an array joins as a gather of its own rows
-    parts = (b if isinstance(b, _Gather) else _Gather.of_rows(b, np.arange(len(b))) for b in blocks)
-    return _Gather(*(part for g in parts for part in g.parts))
+        return self.base[self.index[rows] + self.offset[rows, None]]
 
 
 def _slices(start: int, stop: int, width: int) -> list[slice]:
@@ -125,7 +124,7 @@ def _slices(start: int, stop: int, width: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Convergence control: relative tolerance and iteration cap."""
+    """Convergence control: the bound on a fit's last scaled map step (tol) and the cap on map evaluations."""
 
     tol: float = 1e-8
     max_iter: int = 500
@@ -183,21 +182,20 @@ def _pooled(nums, dens, group, out):
     return np.divide(num, den, out=out)
 
 
-def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
+def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
     """Run the accelerated reweighting map on every row of the data blocks until each settles.
 
     Block k (shape (B, n_k)) is modelled as N(mu[mean_of[k]], s2[var_of[k]]);
-    blocks that share an index share that parameter.  With pinned_mu (scalar
-    or per row) the single mean is held there instead of fit.  Each loop
-    iteration evaluates the map once for every row in the window, at the
-    row's point.  A row stops when the map moves every mean less than tol
-    largest standard deviations and every variance less than tol relative,
-    when a block's weights do not sum to a positive number because they all
-    underflow or are NaN after an overflow (the point is kept and the row
-    counts as clipped), or after max_iter map evaluations.  It returns the
-    output of its last kept map evaluation.  Returns (means, variances,
-    iterations, converged, clipped) with means and variances as lists of
-    (B,) arrays.
+    blocks that share an index share that parameter and are fit as if joined.
+    When pinned the single mean is held at 0.  Each loop iteration evaluates
+    the map once for every row in the window, at the row's point.  A row
+    stops converged when the map's step, in the scaled terms below, is
+    shorter than tol in every coordinate; stuck (the point is kept and the
+    row counts as clipped) when the weights of some parameter group, summed
+    over its blocks, underflow to 0 or are NaN after an overflow; or after
+    max_iter map evaluations.  It returns the output of its last kept map
+    evaluation.  Returns (means, variances, iterations, converged, clipped)
+    with means and variances as lists of (B,) arrays.
 
     Each row carries its own SQUAREM state (Varadhan & Roland 2008, step
     length SqS3): its last plain step, a step bound and whether its point is
@@ -226,8 +224,6 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
     blocks = [x if isinstance(x, _Gather) else np.asarray(x, dtype=float) for x in blocks]
     B = blocks[0].shape[0]
     q_col = _q_column(q, B)
-    tol, pinned = cfg.tol, pinned_mu is not None
-    mu0 = np.broadcast_to(np.asarray(pinned_mu, dtype=float), (B,)) if pinned else None
     mean_groups = [[k for k, i in enumerate(mean_of) if i == j] for j in range(max(mean_of) + 1)]
     var_groups = [[k for k, i in enumerate(var_of) if i == j] for j in range(max(var_of) + 1)]
     # A row's parameters are one column of a (P, rows) array: the J free means
@@ -292,7 +288,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
             for part in _slices(rows.start, rows.stop, x.shape[1]):
                 slot[part.start - rows.start:part.stop - rows.start] = x[part]
             if pinned:
-                np.square(np.subtract(slot, mu0[rows, None], out=slot), out=slot)
+                np.square(slot, out=slot)
         start = update(xs, [None] * len(xs), [float(x.shape[1]) for x in xs], [s[at] for s in spare],
                        np.empty((P, len(xs[0]))))
         spread = start[J:]
@@ -346,7 +342,8 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
             sw = [wk.sum(axis=1) for wk in w]
             # the Lq-likelihood at the point is (total - n) / (1 - q) for q < 1, so it rises with total
             total = functools.reduce(np.add, sw)
-            stuck = ~(functools.reduce(np.minimum, sw) > 0.0)
+            # a row is stuck when the weights of some parameter group sum to 0 or NaN
+            stuck = ~(functools.reduce(np.minimum, [sum(sw[k] for k in g) for g in mean_groups + var_groups]) > 0.0)
             any_stuck = stuck.any()
             if any_stuck:
                 for s in sw:
@@ -354,7 +351,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
             new = update(xa, w, sw, [s[:m] for s in spare], np.empty((P, m)))
             clip_new = np.logical_or.reduce(new[J:] < floor_a)
             np.maximum(new[J:], floor_a, out=new[J:])
-            scale = 1.0 if pinned else np.sqrt(np.maximum.reduce(new[J:]))
+            scale = np.sqrt(np.maximum.reduce(new[J:]))
             ahead = scaled_step(point, new, scale)
             ahead2 = np.add.reduce(ahead * ahead)
 
@@ -375,15 +372,13 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
                 clip_new &= ~reject
                 np.copyto(new, alt, where=reject)
             if any_stuck:
-                # all weights of a block underflowed, or are NaN after an overflow:
+                # all weights of a parameter group underflowed, or are NaN after an overflow:
                 # the row keeps its point, counts as clipped and stops unconverged
                 np.copyto(new, point, where=stuck)
                 clip_new |= stuck
             clip_a |= clip_new
 
-            done = np.logical_and.reduce(np.abs(new[J:] - point[J:]) / new[J:] < tol)
-            if not pinned:
-                done &= np.logical_and.reduce(np.abs(ahead[:J]) < tol)
+            done = np.logical_and.reduce(np.abs(ahead) < cfg.tol) & ~stuck
             if any_reject:
                 done &= ~reject
             finished = done | stuck if any_stuck else done
@@ -450,7 +445,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned_mu=None):
                 start = np.concatenate([start, np.full(len(new_clip), step)])
                 q_a, floor_a = np.concatenate([q_a, q_col[rows]]), np.concatenate([floor_a, new_floor])
                 entered = rows.stop
-    means = [mu0.astype(float, copy=True)] if pinned else list(fitted[:J])
+    means = [np.zeros(B)] if pinned else list(fitted[:J])
     return means, list(fitted[J:]), iterations, converged, clipped
 
 
@@ -464,9 +459,9 @@ def batch_fit_normal(xs: np.ndarray, q, cfg: FitConfig = DEFAULT_CONFIG):
     return (mu, s2, *state)
 
 
-def batch_fit_variance_known_mean(xs: np.ndarray, mu0, q, cfg: FitConfig = DEFAULT_CONFIG):
-    """Variance-only fit with the mean pinned at mu0 (scalar or per-row)."""
-    (mu,), (s2,), *state = _fixed_point((xs,), (0,), (0,), q, cfg, pinned_mu=mu0)
+def batch_fit_variance_known_mean(xs: np.ndarray, q, cfg: FitConfig = DEFAULT_CONFIG):
+    """Variance-only fit with the mean pinned at 0; a fit about mu0 takes xs - mu0."""
+    (mu,), (s2,), *state = _fixed_point((xs,), (0,), (0,), q, cfg, pinned=True)
     return (mu, s2, *state)
 
 
@@ -505,10 +500,10 @@ def fit_normal(sample, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> NormalFit:
 
 
 def fit_variance_known_mean(sample, mu: float, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> NormalFit:
-    """Fit the variance only; the returned mu is exactly the argument."""
-    x = as_sample(sample, 1)
-    mu = check_finite(mu, "mu")
-    return _one_row(NormalFit, batch_fit_variance_known_mean, (x,), mu, check_q(q), cfg=cfg)
+    """Fit the variance only, as the fit of sample - mu about 0; the returned mu is exactly the argument."""
+    x, mu = as_sample(sample, 1), check_finite(mu, "mu")
+    d = _difference(x, mu, ("sample", "mu"))
+    return replace(_one_row(NormalFit, batch_fit_variance_known_mean, (d,), check_q(q), cfg=cfg), mu=mu)
 
 
 def fit_shared_variance(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> SharedVarianceFit:

@@ -106,14 +106,14 @@ def _degenerate(*fits) -> np.ndarray:
 def _batch_statistic_1samp(blocks, q, cfg: FitConfig, free=None):
     (xs,) = blocks
     mu1, s21, _, conv1, clip1 = mlqe.batch_fit_normal(xs, q, cfg) if free is None else free[0]
-    mu0, s20, _, conv0, clip0 = mlqe.batch_fit_variance_known_mean(xs, 0.0, q, cfg)
+    mu0, s20, _, conv0, clip0 = mlqe.batch_fit_variance_known_mean(xs, q, cfg)
     return _ratio(blocks, [(mu1, s21)], [(mu0, s20)], q), _degenerate((conv1, clip1), (conv0, clip0))
 
 
 def _batch_statistic_ind_equal(blocks, q, cfg: FitConfig, free=None):
     xs, ys = blocks
     mx, my, s2, _, conv1, clip1 = mlqe.batch_fit_shared_variance(xs, ys, q, cfg)
-    mu0, s20, _, conv0, clip0 = mlqe.batch_fit_normal(mlqe._joined(xs, ys), q, cfg)
+    (mu0,), (s20,), _, conv0, clip0 = mlqe._fixed_point(blocks, (0, 0), (0, 0), q, cfg)
     return _ratio(blocks, [(mx, s2), (my, s2)], [(mu0, s20)] * 2, q), _degenerate((conv1, clip1), (conv0, clip0))
 
 
@@ -306,7 +306,7 @@ def _test(samples, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConfig) ->
     centred = [s - f[0][:, None] for s, f in zip(samples, free)]
     idx = _resample_indices(seeds, bootstrap, tuple(s.shape[1] for s in samples))
     resampled = tuple(
-        mlqe._Gather((c.ravel(), i, np.repeat(np.arange(len(c)) * c.shape[1], bootstrap))) for c, i in zip(centred, idx)
+        mlqe._Gather(c.ravel(), i, np.repeat(np.arange(len(c)) * c.shape[1], bootstrap)) for c, i in zip(centred, idx)
     )
     boot, degen = statistic(resampled, np.repeat(q, bootstrap), cfg)
     outcomes = []

@@ -103,7 +103,8 @@ class TestLqWeight:
         w = lqmath.lq_weight(50.0, 0.0, 1.0, 0.5)
         assert 0.0 < w < 1e-250
 
-    @pytest.mark.parametrize("fn", [lqmath.lq_weight, lambda x, mu, s2, q: lqmath.normal_log_pdf(x, mu, s2)])
+    @pytest.mark.parametrize("fn", [lqmath.lq_weight, lambda x, mu, s2, q: lqmath.normal_log_pdf(x, mu, s2),
+                                    lqmath.lq_score_mu, lqmath.lq_curvature_mu])
     def test_rejects_non_positive_variance(self, fn):
         xs = np.zeros((3, 4))
         for bad in (0.0, -1.0):
@@ -113,12 +114,13 @@ class TestLqWeight:
                 fn(xs, 0.0, np.array([[1.0], [bad], [2.0]]), 0.7)
 
     def test_fits_skip_the_variance_check(self, monkeypatch):
-        # the fitters floor every variance, so their loop does not pay for the check
+        # the fitters floor every variance, so their loop and the q grid's derivatives do not pay for the check
         calls = []
         monkeypatch.setattr(lqmath, "_check_sigma2", lambda s2: calls.append(s2))
         xs = np.random.default_rng(5).normal(0.0, 1.0, (20, 30))
         mlqe.batch_fit_normal(xs, 0.7)
         mlqe.batch_fit_shared_mean(xs, xs + 1.0, 0.7)
+        lqrt.select_q_1samp(xs[0])
         assert calls == []
 
 
@@ -293,6 +295,8 @@ class TestArgumentChecks:
                      id="pvalue_bootstrap_1samp"),
         pytest.param("x1 - x2", lambda x, v: lqrt.lqrtest_rel(x, np.full(x.size, v), q=0.7, bootstrap=10, seed=1),
                      id="lqrtest_rel"),
+        pytest.param("sample - mu", lambda x, v: lqrt.fit_variance_known_mean(x, v, 0.7),
+                     id="fit_variance_known_mean"),
     ])
     def test_difference_must_not_overflow(self, name, call):
         # the tests form x - u (or x1 - x2) of finite values first; an overflow is named, not fit

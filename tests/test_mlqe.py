@@ -22,6 +22,21 @@ def contaminated(rng, n=50, n_out=5, mu=0.0, sigma=1.0, tau=np.sqrt(50.0)):
     )
 
 
+def minus_mean(xs, mu0):
+    # xs - mu0 row by row, the data of the known-mean fit pinned at mu0; a gather comes with mu0 None, as it is
+    return xs if mu0 is None else xs - np.reshape(mu0, (-1, 1))
+
+
+def known_mean(xs, mu0, q, cfg):
+    return mlqe.batch_fit_variance_known_mean(minus_mean(xs, mu0), q, cfg)
+
+
+def pooled_null(xs, ys, q, cfg):
+    # the pooled test's null fit: both samples in one mean group and one variance group
+    (mu,), (s2,), *state = mlqe._fixed_point((xs, ys), (0, 0), (0, 0), q, cfg)
+    return mu, s2, *state
+
+
 class TestFitNormal:
     def test_q1_is_mle(self):
         fit = lqrt.fit_normal([1.0, 2.0, 3.0], 1.0)
@@ -249,11 +264,12 @@ class TestWindow:
     # each fitter on an x block of width 3 and a y block of width 4
     FITS = {
         "normal": lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_normal(xs, q, cfg),
-        "known_mean": lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_variance_known_mean(xs, mu0, q, cfg),
+        "known_mean": lambda xs, ys, mu0, q, cfg: known_mean(xs, mu0, q, cfg),
         "shared_variance": lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_shared_variance(xs, ys, q, cfg),
         "shared_mean": lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_shared_mean(xs, ys, q, cfg),
+        "pooled": lambda xs, ys, mu0, q, cfg: pooled_null(xs, ys, q, cfg),
     }
-    WIDTH = {"normal": 3, "known_mean": 3, "shared_variance": 7, "shared_mean": 7}
+    WIDTH = {"normal": 3, "known_mean": 3, "shared_variance": 7, "shared_mean": 7, "pooled": 7}
     # WINDOW_ELEMENTS for a fit of the given row width over 37 rows
     WINDOWS = {
         "one_row": lambda width: width,
@@ -262,7 +278,7 @@ class TestWindow:
         "above_input": lambda width: 37 * width + 1,
     }
 
-    # q and the pinned mean: scalars, every row the same values, or each row its own
+    # q and the known mean: scalars, every row the same values, or each row its own
     Q_KINDS = ["scalar", "uniform", "per_row"]
 
     @staticmethod
@@ -307,24 +323,24 @@ class TestWindow:
     @pytest.mark.parametrize("q", [0.7, 1.0])
     @pytest.mark.parametrize("fit", sorted(FITS))
     def test_uniform_rows_fit_as_the_scalar(self, fit, q):
-        # one q and one pinned mean given per row fit bit for bit as the scalars do
+        # one q given per row fits bit for bit as the scalar does
         xs, ys, _, _ = self._batch("scalar")
         cfg = FitConfig(max_iter=7)
-        uniform = self.FITS[fit](xs, ys, np.full(37, 0.4), np.full(37, q), cfg)
+        uniform = self.FITS[fit](xs, ys, 0.4, np.full(37, q), cfg)
         assert [a.tobytes() for a in uniform] == [a.tobytes() for a in self.FITS[fit](xs, ys, 0.4, q, cfg)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fit", sorted(FITS))
     def test_gather_fits_as_its_materialized_block(self, monkeypatch, fit):
         rng = np.random.default_rng(32)
-        _, _, mu0, q = self._batch("per_row")
+        _, _, _, q = self._batch("per_row")
         base_x, base_y = contaminated(rng, n=20, n_out=2), rng.normal(0.4, 1.5, 15)
         base_x[7] = 1e160
         ix, iy = rng.integers(0, 20, (37, 3)), rng.integers(0, 15, (37, 4))
         monkeypatch.setattr(mlqe, "WINDOW_ELEMENTS", 20)
-        args = (mu0, q, FitConfig(max_iter=50))
+        args = (None, q, FitConfig(max_iter=50))
         no_offset = np.zeros(37, dtype=np.intp)
-        lazy = self.FITS[fit](mlqe._Gather((base_x, ix, no_offset)), mlqe._Gather((base_y, iy, no_offset)), *args)
+        lazy = self.FITS[fit](mlqe._Gather(base_x, ix, no_offset), mlqe._Gather(base_y, iy, no_offset), *args)
         dense = self.FITS[fit](base_x[ix], base_y[iy], *args)
         assert [a.tobytes() for a in lazy] == [a.tobytes() for a in dense]
 
@@ -333,16 +349,11 @@ class TestWindow:
         flat, block = rng.normal(size=40), rng.normal(size=(6, 5))
         index, offset = rng.integers(0, 10, (9, 3), dtype=np.uint8), 10 * rng.integers(0, 4, 9)
         rows = rng.integers(0, 6, 9)
-        by_index, by_row = mlqe._Gather((flat, index, offset)), mlqe._Gather.of_rows(block, rows)
-        joined = mlqe._joined(by_index, by_row)
+        by_index, by_row = mlqe._Gather(flat, index, offset), mlqe._Gather.of_rows(block, rows)
         picked = flat[index + offset[:, None]]
-        dense = np.concatenate([picked, block[rows]], axis=1)
-        assert (by_index.shape, by_row.shape, joined.shape) == ((9, 3), (9, 5), (9, 8))
+        assert (by_index.shape, by_row.shape) == ((9, 3), (9, 5))
         assert by_index[2:7].tobytes() == picked[2:7].tobytes()
         assert by_row[4:].tobytes() == block[rows][4:].tobytes()
-        assert joined[1:8].tobytes() == dense[1:8].tobytes()
-        mixed = np.concatenate([block, block[rows[:6]]], axis=1)
-        assert mlqe._joined(block, mlqe._Gather.of_rows(block, rows[:6]))[:].tobytes() == mixed.tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -365,12 +376,14 @@ def test_variance_bias_correction():
         lqrt.variance_bias_correction(-1.0, 0.5)
 
 
-def plain_fit(blocks, mean_of, var_of, q, mu0=None, tol=1e-12, max_iter=20_000):
-    """The reweighting map without acceleration, on every row at once, each row stopped by the engine's test.
+def plain_fit(blocks, mean_of, var_of, q, pinned=False, tol=1e-12, max_iter=20_000):
+    """The reweighting map without acceleration, on every row at once, each row stopped by the engine's rules.
 
-    Block k is modelled as N(mu[mean_of[k]], s2[var_of[k]]); with mu0 the one
-    mean is pinned there.  The start is the unit-weight fit.  A row whose
-    weights do not sum to a positive number stops unconverged.  Returns
+    Block k is modelled as N(mu[mean_of[k]], s2[var_of[k]]); when pinned the
+    one mean is held at 0.  The start is the unit-weight fit.  A row stops
+    when a step moves every mean less than tol largest standard deviations
+    and every log variance less than tol, and stops unconverged when some
+    parameter group's weights do not sum to a positive number.  Returns
     (means, variances, iterations, converged), the first two shaped (groups, rows).
     """
     blocks = [np.asarray(b, dtype=float) for b in blocks]
@@ -390,24 +403,22 @@ def plain_fit(blocks, mean_of, var_of, q, mu0=None, tol=1e-12, max_iter=20_000):
                                                  - (x - mu[i][:, None]) ** 2 / (2.0 * s2[j][:, None])))
                  for x, i, j in zip(xs, mean_of, var_of)]
         sw = [wk.sum(axis=1) for wk in w]
-        ok = np.logical_and.reduce([s > 0.0 for s in sw])
-        if mu0 is None:
+        ok = np.logical_and.reduce([s > 0.0 for s in groups(sw, mean_of, n_mean) + groups(sw, var_of, n_var)])
+        if not pinned:
             mu = np.array(groups([(wk * x).sum(axis=1) for wk, x in zip(w, xs)], mean_of, n_mean)) / groups(
                 sw, mean_of, n_mean)
         dev = [(wk * (x - mu[i][:, None]) ** 2).sum(axis=1) for wk, x, i in zip(w, xs, mean_of)]
         s2 = np.maximum(np.array(groups(dev, var_of, n_var)) / groups(sw, var_of, n_var), VARIANCE_FLOOR)
         return mu, s2, ok
 
-    pinned = None if mu0 is None else np.broadcast_to(np.asarray(mu0, dtype=float), (rows,))[None, :].copy()
     with np.errstate(all="ignore"):
-        mu, s2, _ = step(np.arange(rows), pinned, None, True)
+        mu, s2, _ = step(np.arange(rows), np.zeros((1, rows)) if pinned else None, None, True)
         iterations, converged = np.zeros(rows, dtype=int), np.zeros(rows, dtype=bool)
         active = np.arange(rows)
         for k in range(1, max_iter + 1):
             new_mu, new_s2, ok = step(active, mu[:, active], s2[:, active], False)
-            done = ok & np.all(np.abs(new_s2 - s2[:, active]) / new_s2 < tol, axis=0)
-            if mu0 is None:
-                done &= np.all(np.abs(new_mu - mu[:, active]) / np.sqrt(new_s2.max(axis=0)) < tol, axis=0)
+            done = ok & np.all(np.abs(np.log(new_s2 / s2[:, active])) < tol, axis=0)
+            done &= np.all(np.abs(new_mu - mu[:, active]) / np.sqrt(new_s2.max(axis=0)) < tol, axis=0)
             mu[:, active], s2[:, active] = np.where(ok, new_mu, mu[:, active]), np.where(ok, new_s2, s2[:, active])
             stop = done | ~ok | (k == max_iter)
             iterations[active[stop]], converged[active[stop]] = k, done[stop]
@@ -450,15 +461,13 @@ class TestAcceleration:
     reference is the plain map run to tol 1e-12.
     """
 
-    # (batch fitter, plain_fit layout): block means, block variances, pinned mean
+    # (batch fitter, plain_fit layout): block means, block variances, mean pinned
     FITS = {
-        "normal": (lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_normal(xs, q, cfg), (0,), (0,), False),
-        "known_mean": (lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_variance_known_mean(xs, mu0, q, cfg),
-                       (0,), (0,), True),
-        "shared_variance": (lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_shared_variance(xs, ys, q, cfg),
-                            (0, 1), (0, 0), False),
-        "shared_mean": (lambda xs, ys, mu0, q, cfg: mlqe.batch_fit_shared_mean(xs, ys, q, cfg),
-                        (0, 0), (0, 1), False),
+        "normal": (TestWindow.FITS["normal"], (0,), (0,), False),
+        "known_mean": (TestWindow.FITS["known_mean"], (0,), (0,), True),
+        "shared_variance": (TestWindow.FITS["shared_variance"], (0, 1), (0, 0), False),
+        "shared_mean": (TestWindow.FITS["shared_mean"], (0, 0), (0, 1), False),
+        "pooled": (TestWindow.FITS["pooled"], (0, 0), (0, 0), False),
     }
     # contaminated(default_rng(seed)) samples resampled 250 times each; without the
     # linear-regime gate the extrapolation leaves the plain path's basin on some rows of these
@@ -467,7 +476,7 @@ class TestAcceleration:
 
     @classmethod
     def _contaminated_batch(cls):
-        # xs, ys, the pinned means and a per-row q over the grid
+        # xs, ys, the known means and a per-row q over the grid
         parts = []
         for seed in cls.SEEDS:
             x = contaminated(np.random.default_rng(seed))
@@ -480,8 +489,8 @@ class TestAcceleration:
     @staticmethod
     def _reference(fit, xs, ys, mu0, q, **kw):
         _, mean_of, var_of, pinned = TestAcceleration.FITS[fit]
-        blocks = (xs,) if len(mean_of) == 1 else (xs, ys)
-        return plain_fit(blocks, mean_of, var_of, q, mu0 if pinned else None, **kw)
+        blocks = (minus_mean(xs, mu0) if pinned else xs,) if len(mean_of) == 1 else (xs, ys)
+        return plain_fit(blocks, mean_of, var_of, q, pinned, **kw)
 
     def _check_same_fixed_point(self, fit, xs, ys, mu0, q):
         call, mean_of, _, pinned = self.FITS[fit]
@@ -532,7 +541,7 @@ class TestAcceleration:
         cap = DEFAULT_CONFIG.max_iter
         assert np.count_nonzero(iterations >= cap) <= np.count_nonzero(plain >= cap)
 
-    @pytest.mark.parametrize("fit", ["normal", "known_mean", "shared_variance"])
+    @pytest.mark.parametrize("fit", ["normal", "known_mean", "shared_variance", "pooled"])
     def test_a_plain_step_never_lowers_the_lq_likelihood(self, fit):
         # the map of a fit with one variance is a weighted-MLE step and so a minorize-maximize step:
         # f^s >= f0^s (1 + s log(f / f0)) as exp is convex.  _fixed_point judges their trials by
@@ -573,7 +582,8 @@ class TestAcceleration:
         assert abs(fit.mu - mu[0, 0]) <= 1e-6 * np.sqrt(s2[0, 0]) and abs(fit.sigma2 - s2[0, 0]) <= 1e-6 * s2[0, 0]
 
     # the largest map evaluations per row and the rows at max_iter on the contaminated batch at q = 0.5
-    TAIL = {"normal": (142, 0), "known_mean": (51, 0), "shared_variance": (155, 0), "shared_mean": (320, 0)}
+    TAIL = {"normal": (142, 0), "known_mean": (51, 0), "shared_variance": (155, 0), "shared_mean": (320, 0),
+            "pooled": (106, 0)}
 
     @pytest.mark.parametrize("fit", sorted(FITS))
     def test_the_slowest_rows_stay_short(self, fit):
@@ -583,3 +593,25 @@ class TestAcceleration:
         slowest, at_cap = self.TAIL[fit]
         assert iterations.max() <= slowest
         assert np.count_nonzero(iterations >= DEFAULT_CONFIG.max_iter) <= at_cap
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("batch", [*TestWindow.Q_KINDS, "contaminated", "far_cluster"])
+def test_pooled_null_is_the_normal_fit_of_the_joined_rows(batch):
+    # two blocks in one mean group and one variance group fit as one block of their joined rows does, up to
+    # rounding and with the same flags.  A row is stuck only when a group's weights do not sum to a positive
+    # number: in the far cluster every weight of y underflows after a few steps, and x's keep the fit going
+    if batch == "far_cluster":
+        rng = np.random.default_rng(3)
+        xs, ys, q = rng.normal(0.0, 1.0, (1, 50)), rng.normal(100.0, 1.0, (1, 4)), 0.5
+    elif batch == "contaminated":
+        xs, ys, _, q = TestAcceleration._contaminated_batch()
+    else:
+        xs, ys, _, q = TestWindow._batch(batch)
+    mu, s2, _, converged, clipped = pooled_null(xs, ys, q, DEFAULT_CONFIG)
+    ref_mu, ref_s2, _, ref_converged, ref_clipped = mlqe.batch_fit_normal(np.concatenate([xs, ys], axis=1), q)
+    assert converged.tolist() == ref_converged.tolist() and clipped.tolist() == ref_clipped.tolist()
+    finite = np.isfinite(ref_s2)
+    assert np.isfinite(s2).tolist() == finite.tolist()
+    assert np.all(np.abs(mu - ref_mu)[finite] <= 1e-6 * np.sqrt(ref_s2[finite]))
+    assert np.all(np.abs(s2 - ref_s2)[finite] <= 1e-6 * ref_s2[finite])

@@ -500,18 +500,15 @@ class TestOneFitPerTest:
     )
     def test_batch_fit_calls_per_test(self, monkeypatch, kind, want, q):
         # the q grid (one free fit per sample, over 51 q or the one fixed q),
-        # the observed constrained fits, the bootstrap fits
+        # the observed constrained fits, the bootstrap fits; each runs the fixed point once
         calls = []
+        fixed_point = mlqe._fixed_point
 
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return fixed_point(*args, **kwargs)
 
-        for name in ("batch_fit_normal", "batch_fit_variance_known_mean",
-                     "batch_fit_shared_variance", "batch_fit_shared_mean"):
-            monkeypatch.setattr(mlqe, name, counted(getattr(mlqe, name)))
+        monkeypatch.setattr(mlqe, "_fixed_point", counted)
         x = _readme_sample()
         y = contaminated(np.random.default_rng(78), n=40, n_out=4)
         if kind == "onesample":
