@@ -218,6 +218,14 @@ def _scaled_differences(x, y, min_len: int) -> np.ndarray:
     return x - y
 
 
+def _mean_var(x: np.ndarray):
+    # the mean and unbiased variance; a constant sample's are its value and exactly 0, where the
+    # rounding of its mean would leave a variance near 1e-32 of its square
+    if x.min() == x.max():
+        return x[0], 0.0
+    return x.mean(), x.var(ddof=1)
+
+
 def _t_two_sided(t: float, df: float) -> float:
     if math.isinf(t):
         return 0.0
@@ -238,8 +246,7 @@ def ttest_1samp(x, mu0: float) -> ClassicalOutcome:
     except OverflowError:  # mu0 exceeds the data by more than 2^1023: t is infinite
         mu0 = math.copysign(math.inf, mu0)
     n = x.size
-    mean = x.mean()
-    var = x.var(ddof=1)
+    mean, var = _mean_var(x)
     if var == 0.0:
         if mean == mu0:
             return ClassicalOutcome(0.0, 1.0, "t_1samp")
@@ -261,8 +268,8 @@ def ttest_ind(x, y, equal_var: bool = True) -> ClassicalOutcome:
     (x, y), _ = _unit_scale(x, y)
     n, m = x.size, y.size
     method = "t_ind_pooled" if equal_var else "t_ind_welch"
-    vx, vy = x.var(ddof=1), y.var(ddof=1)
-    diff = x.mean() - y.mean()
+    (mx, vx), (my, vy) = _mean_var(x), _mean_var(y)
+    diff = mx - my
     if vx == 0.0 and vy == 0.0:
         if diff == 0.0:
             return ClassicalOutcome(0.0, 1.0, method)

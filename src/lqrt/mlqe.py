@@ -79,8 +79,8 @@ VARIANCE_FLOOR = float(np.finfo(np.float64).eps)
 
 # The fixed-point loop iterates the rows of a fit in a window of at most this
 # many float64 values of data (one row at least), and holds three buffers of
-# that size.  A single pass over many rows takes an eighth of a window of them
-# at a time (_slices).
+# that size beside one small array of the rows' state.  A single pass over many
+# rows takes an eighth of a window of them at a time (_slices).
 WINDOW_ELEMENTS = 2**16
 
 # A SQUAREM trial moves each row at most this far past its plain iterate y, in
@@ -166,12 +166,12 @@ class SharedMeanFit:
     clipped: bool
 
 
-def _q_column(q, nrows: int):
-    """q, a scalar or one value per row, as a (nrows, 1) column against a data block."""
+def _q_rows(q, nrows: int):
+    """q, a scalar or one value per row, as one value per row."""
     qa = np.asarray(q, dtype=float)
     if qa.ndim and qa.shape != (nrows,):
         raise ValueError("per-row q must match the number of rows")
-    return np.broadcast_to(qa, (nrows,))[:, None]
+    return np.broadcast_to(qa, (nrows,))
 
 
 def _pooled(nums, dens, group, out):
@@ -216,14 +216,19 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
     the other maps, whose reach and likelihood guard suffice.
 
     Rows iterate in a window of at most WINDOW_ELEMENTS values (one row at
-    least).  Once half the window has finished, the next rows take the freed
-    slots.  A row's start, step count, acceleration and stop are its own, so
-    the window changes no bit of the result.  A block may be a `_Gather`:
-    only the rows in the window are ever built.
+    least).  The loop starts with an empty window, and whenever half of it is
+    free the next rows take the freed slots, so the first rows enter by the
+    same path as the later ones.  Beside the data, every state of a row in the
+    window (its point, its acceleration state, q, its floor and clip flag, the
+    step it entered after and its index) is one column of one array, so
+    dropping the finished rows is one take per buffer.  A row's start, step
+    count, acceleration and stop are its own, so the window changes no bit of
+    the result.  A block may be a `_Gather`: only the rows in the window are
+    ever built.
     """
     blocks = [x if isinstance(x, _Gather) else np.asarray(x, dtype=float) for x in blocks]
     B = blocks[0].shape[0]
-    q_col = _q_column(q, B)
+    q_rows = _q_rows(q, B)
     mean_groups = [[k for k, i in enumerate(mean_of) if i == j] for j in range(max(mean_of) + 1)]
     var_groups = [[k for k, i in enumerate(var_of) if i == j] for j in range(max(var_of) + 1)]
     # A row's parameters are one column of a (P, rows) array: the J free means
@@ -266,17 +271,28 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
 
     # Each block has three (window, n_k) buffers: the data of the rows in the
     # window, compact in the leading rows, their weights, and a spare that holds
-    # products and the next compaction.  Ids, points, q, clip flags, the step
-    # each row entered after and the acceleration state are kept compact beside
-    # them, in the order the rows entered.  A row that finishes is written out
-    # and dropped.
+    # products and the next compaction.  Every other per-row state is one column
+    # of a (3P + 9, window) array, compact in the leading columns in the order the
+    # rows entered, with a spare of its own; `named` gives its rows:
+    # - point, where the map is evaluated next; alt, the map's last output, the y
+    #   a trial falls back to; back, the scaled plain step into the point (P rows each);
+    # - back2, back's squared length (0 when there is none); ref_total, the weight
+    #   sum at the last point (x); the step bound; tried, the step a the point was
+    #   extrapolated by (0 when it was not);
+    # - q; the variance floor; the clip flag (0 or 1); the step the row entered
+    #   after and its row index, whole numbers that float64 holds exactly.
+    # A row that finishes is written out and dropped by one take per buffer.
     cap = min(B, max(1, WINDOW_ELEMENTS // sum(x.shape[1] for x in blocks)))
     data, weights, spare = ([np.empty((cap, x.shape[1])) for x in blocks] for _ in range(3))
+    state, state_spare = np.empty((3 * P + 9, cap)), np.empty((3 * P + 9, cap))
 
-    def enter(rows, at):
-        # Writes the rows' data to the data buffers from row `at` on and returns
-        # their start, the update with unit weights (the maximum-likelihood fit),
-        # their clip flags and their variance floor, VARIANCE_FLOOR times the
+    def named(columns):
+        return (columns[:P], columns[P:2 * P], columns[2 * P:3 * P], *columns[3 * P:])
+
+    def enter(rows, at, step):
+        # Writes the rows' data to the data buffers and their state to the state
+        # columns from `at` on.  A row starts at the update with unit weights (the
+        # maximum-likelihood fit), its variances floored at VARIANCE_FLOOR times the
         # largest start variance (VARIANCE_FLOOR where that product is 0).  A
         # variance whose blocks each hold one value per mean counts as 0 there,
         # though the rounding of a mean may leave it near 1e-31 of the value's
@@ -289,12 +305,12 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
                 slot[part.start - rows.start:part.stop - rows.start] = x[part]
             if pinned:
                 np.square(slot, out=slot)
-        start = update(xs, [None] * len(xs), [float(x.shape[1]) for x in xs], [s[at] for s in spare],
-                       np.empty((P, len(xs[0]))))
-        spread = start[J:]
+        point, alt, back, back2, ref_total, bound, tried, q_r, floor, clip, entry, idx = named(state[:, at])
+        update(xs, [None] * len(xs), [float(x.shape[1]) for x in xs], [s[at] for s in spare], point)
+        spread = point[J:]
         # the rounding of a mean leaves less than VARIANCE_FLOOR times its square, so only
         # then are the blocks looked at
-        if not pinned and (spread < VARIANCE_FLOOR * np.square(start[:J]).max()).any():
+        if not pinned and (spread < VARIANCE_FLOOR * np.square(point[:J]).max()).any():
             one_value = [
                 functools.reduce(np.maximum, [xs[k].max(axis=1) for k in g])
                 == functools.reduce(np.minimum, [xs[k].min(axis=1) for k in g])
@@ -302,40 +318,38 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
             ]
             flat = [np.logical_and.reduce([one_value[mean_of[k]] for k in g]) for g in var_groups]
             spread = np.where(flat, 0.0, spread)
-        floor = VARIANCE_FLOOR * np.maximum.reduce(spread)
+        np.multiply(VARIANCE_FLOOR, np.maximum.reduce(spread), out=floor)
         floor[~(floor > 0.0)] = VARIANCE_FLOOR
-        clip = np.logical_or.reduce(start[J:] < floor)
-        np.maximum(start[J:], floor, out=start[J:])
-        return start, clip, floor
+        clip[:] = np.logical_or.reduce(point[J:] < floor)
+        np.maximum(point[J:], floor, out=point[J:])
+        alt[:] = point
+        back[:] = back2[:] = ref_total[:] = tried[:] = 0.0
+        bound[:], q_r[:], entry[:], idx[:] = 1.0, q_rows[rows], step, np.arange(rows.start, rows.stop)
 
     # the map of a fit with one variance group is a minorize-maximize step
     mm = len(var_groups) == 1
     grow = np.inf if mm else 4.0
 
-    def fresh(start):
-        # the acceleration state of rows at their start: alt, back, back2, ref_total, bound and tried
-        rows = start.shape[1]
-        return start, np.zeros_like(start), np.zeros(rows), np.zeros(rows), np.ones(rows), np.zeros(rows)
-
-    # Beside each row in the window: point, where the map is evaluated next; alt,
-    # the map's last output, the y a trial falls back to; back, the scaled plain
-    # step into the point, and back2, its squared length (0 when there is none);
-    # ref_total, the weight sum at the last point (x); the step bound; and tried,
-    # the step a the point was extrapolated by (0 when it was not).
     # a row that overflows stops as stuck, and the extrapolation of a row outside the
-    # gate may divide by zero or overflow before np.where drops it: no warning is due,
-    # in the first window as in the later ones
+    # gate may divide by zero or overflow before it is dropped: no warning is due
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        point, clip_a, floor_a = enter(slice(0, cap), 0)
-        alt, back, back2, ref_total, bound, tried = fresh(point)
-        idx, start, entered, step, trials = np.arange(cap), np.zeros(cap, dtype=np.int64), cap, 0, False
-        q_a = q_col[:cap]
-        while len(idx):
-            m, step = len(idx), step + 1
+        m = entered = step = 0
+        trials = False
+        while True:
+            # rows enter whenever half the window is free, the first ones into the empty window
+            if 2 * m <= cap and entered < B:
+                rows = slice(entered, min(B, entered + cap - m))
+                enter(rows, m, step)
+                m, entered = m + rows.stop - rows.start, rows.stop
+                views = named(state[:, :m])
+            if not m:
+                break
+            step += 1
+            point, alt, back, back2, ref_total, bound, tried, q_a, floor_a, clip_a, entry, idx = views
             xa = [d[:m] for d in data]
             # the floor keeps every variance positive, so the weights skip lq_weight's check
             w = [
-                _weight(x, 0.0 if pinned else point[i][:, None], point[J + j][:, None], q_a, buf[:m],
+                _weight(x, 0.0 if pinned else point[i][:, None], point[J + j][:, None], q_a[:, None], buf[:m],
                         x if pinned else None)
                 for x, buf, i, j in zip(xa, weights, mean_of, var_of)
             ]
@@ -355,40 +369,37 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
             ahead = scaled_step(point, new, scale)
             ahead2 = np.add.reduce(ahead * ahead)
 
-            any_reject = False
             if trials:
                 # a trial is kept when its Lq-likelihood is at least that of x (one variance),
-                # or when the map's step from it is no longer than x -> y (shared mean)
-                kept = total >= ref_total if mm else ahead2 <= back2
-                if any_stuck:
-                    kept &= ~stuck
-                # a trial at a = 1 is the plain step, so only one at a > 1 (and a bound of 4 or more) is rejected
+                # or when the map's step from it is no longer than x -> y (shared mean); a trial
+                # at a = 1 is the plain step, so only one at a > 1 (and a bound of 4 or more) is
+                # rejected
+                kept = (total >= ref_total if mm else ahead2 <= back2) & ~stuck
                 reject = (tried > 1.0) > kept
-                bound = bound * np.where(kept & (tried == bound), grow, np.where(reject, 0.25, 1.0))
-                any_reject = reject.any()
-            if any_reject:
-                # the evaluation at a rejected point counts for nothing; the row goes on from y
-                stuck &= ~reject
-                clip_new &= ~reject
-                np.copyto(new, alt, where=reject)
+                bound *= np.where(kept & (tried == bound), grow, np.where(reject, 0.25, 1.0))
+                # a rejected evaluation counts for nothing: the row's output is y and its last
+                # step x -> y, as after the plain step that led to the trial, which did not stop it
+                if reject.any():
+                    stuck &= ~reject
+                    clip_new &= ~reject
+                    np.copyto(new, alt, where=reject)
+                    np.copyto(ahead, back, where=reject)
+                    np.copyto(ahead2, back2, where=reject)
             if any_stuck:
                 # all weights of a parameter group underflowed, or are NaN after an overflow:
                 # the row keeps its point, counts as clipped and stops unconverged
                 np.copyto(new, point, where=stuck)
                 clip_new |= stuck
-            clip_a |= clip_new
-
+            clip_a[clip_new] = 1.0
             done = np.logical_and.reduce(np.abs(ahead) < cfg.tol) & ~stuck
-            if any_reject:
-                done &= ~reject
             finished = done | stuck if any_stuck else done
 
             # extrapolate where the plain steps u -> x (back) and x -> y (ahead) are short,
             # point the same way and shrink; a point extrapolated by a > 1 was not reached by back
-            nxt, had_trials = new, trials
             dot = np.add.reduce(back * ahead)
             gate = (ahead2 < back2) & (back2 < 0.01) & (dot > 0.9 * np.sqrt(back2 * ahead2)) & (tried <= 1.0)
             trials = gate.any()
+            point[:], tried[:] = new, 0.0
             if trials:
                 curve = ahead - back
                 curve2 = np.add.reduce(curve * curve)
@@ -405,46 +416,28 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
                 ext = np.empty_like(new)
                 np.add(new[:J], np.multiply(move[:J], scale, out=move[:J]), out=ext[:J])
                 np.maximum(np.multiply(new[J:], np.exp(move[J:], out=move[J:]), out=ext[J:]), floor_a, out=ext[J:])
-                nxt, tried = np.where(gate, ext, new), np.where(gate, a, 0.0)
-            elif had_trials:
-                tried = np.zeros(m)
-            if any_reject:
-                back, back2 = np.where(reject, back, ahead), np.where(reject, back2, ahead2)
-            else:
-                back, back2 = ahead, ahead2
-            alt, ref_total = new, total
+                np.copyto(point, ext, where=gate)
+                np.copyto(tried, a, where=gate)
+            back[:], back2[:], alt[:], ref_total[:] = ahead, ahead2, new, total
 
-            if step - start[0] == cfg.max_iter:
+            if step - entry[0] == cfg.max_iter:
                 # the rows that entered first reach max_iter first
-                finished = finished | (start == start[0])
+                finished = finished | (entry == entry[0])
             if finished.any():
-                rows = idx[finished]
+                rows = idx[finished].astype(np.intp)
                 fitted[:, rows] = new[:, finished]
-                iterations[rows] = step - start[finished]
+                iterations[rows] = step - entry[finished]
                 converged[rows] = done[finished]
                 clipped[rows] = clip_a[finished]
                 left = np.flatnonzero(~finished)
-                idx, clip_a, start = idx[left], clip_a[left], start[left]
+                m = len(left)
+                # the rows still iterating move to the spares, which become the buffers
                 for k, x in enumerate(xa):
-                    # the rows still iterating move to the spare, which becomes the data buffer
-                    np.take(x, left, axis=0, out=spare[k][:len(left)], mode="clip")
+                    np.take(x, left, axis=0, out=spare[k][:m], mode="clip")
                     data[k], spare[k] = spare[k], data[k]
-                nxt, alt, back, back2, ref_total, bound, tried = (
-                    v[..., left] for v in (nxt, alt, back, back2, ref_total, bound, tried)
-                )
-                q_a, floor_a = q_a[left], floor_a[left]
-            point = nxt
-            if 2 * len(idx) <= cap and entered < B:
-                rows = slice(entered, min(B, entered + cap - len(idx)))
-                new_point, new_clip, new_floor = enter(rows, len(idx))
-                point, alt, back, back2, ref_total, bound, tried = (
-                    np.concatenate([v, f], axis=-1)
-                    for v, f in zip((point, alt, back, back2, ref_total, bound, tried), (new_point, *fresh(new_point)))
-                )
-                idx, clip_a = np.concatenate([idx, np.arange(rows.start, rows.stop)]), np.concatenate([clip_a, new_clip])
-                start = np.concatenate([start, np.full(len(new_clip), step)])
-                q_a, floor_a = np.concatenate([q_a, q_col[rows]]), np.concatenate([floor_a, new_floor])
-                entered = rows.stop
+                np.take(state[:, :len(finished)], left, axis=1, out=state_spare[:, :m], mode="clip")
+                state, state_spare = state_spare, state
+                views = named(state[:, :m])
     means = [np.zeros(B)] if pinned else list(fitted[:J])
     return means, list(fitted[J:]), iterations, converged, clipped
 

@@ -384,8 +384,10 @@ def _grid_objectives(samples, grid, cfg: FitConfig):
 
 
 def _best_q(objectives: np.ndarray):
-    # the grid index of each row's minimum; ties resolve toward the largest q, the most efficient candidate
-    return objectives.shape[-1] - 1 - np.argmin(objectives[..., ::-1], axis=-1)
+    # the grid index of each row's minimum; ties resolve toward the largest q, the most efficient candidate.
+    # A NaN objective ranks as +inf: argmin alone would pick the first NaN.
+    ranked = np.where(np.isnan(objectives), np.inf, objectives)
+    return ranked.shape[-1] - 1 - np.argmin(ranked[..., ::-1], axis=-1)
 
 
 def _select_q(samples, cfg: FitConfig) -> QSelectionReport:

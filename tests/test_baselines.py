@@ -19,6 +19,10 @@ RANKSUM_Z = -1.9639610121239315
 RANKSUM_P = 0.04953461343562674
 
 
+def _t_and_p(out):
+    return out.statistic, out.pvalue
+
+
 class TestTTest1Samp:
     def test_centered_sample(self):
         out = baselines.ttest_1samp([1.0, 2.0, 3.0, 4.0, 5.0], 3.0)
@@ -41,6 +45,10 @@ class TestTTest1Samp:
     def test_zero_variance_conventions(self):
         assert baselines.ttest_1samp([2.0, 2.0, 2.0], 2.0).pvalue == 1.0
         assert baselines.ttest_1samp([2.0, 2.0, 2.0], 1.0).pvalue == 0.0
+        # the mean of seven 1.7s rounds, which leaves a variance near 1e-32: still constant
+        assert _t_and_p(baselines.ttest_1samp([1.7] * 7, 1.7)) == (0.0, 1.0)
+        assert _t_and_p(baselines.ttest_1samp([1.7] * 7, 0.0)) == (math.inf, 0.0)
+        assert _t_and_p(baselines.ttest_rel([1.7] * 7, [0.0] * 7)) == (math.inf, 0.0)
 
     def test_matches_quadrature_oracle(self):
         rng = np.random.default_rng(50)
@@ -141,8 +149,12 @@ class TestTTestInd:
         assert welch.pvalue == pytest.approx(pooled.pvalue, rel=1e-12)
 
     def test_degenerate_conventions(self):
-        assert baselines.ttest_ind([1.0, 1.0], [1.0, 1.0]).pvalue == 1.0
-        assert baselines.ttest_ind([1.0, 1.0], [2.0, 2.0]).pvalue == 0.0
+        for equal_var in (True, False):
+            assert baselines.ttest_ind([1.0, 1.0], [1.0, 1.0], equal_var).pvalue == 1.0
+            assert baselines.ttest_ind([1.0, 1.0], [2.0, 2.0], equal_var).pvalue == 0.0
+            # constant samples whose means round
+            assert _t_and_p(baselines.ttest_ind([1.7] * 7, [1.7] * 5, equal_var)) == (0.0, 1.0)
+            assert _t_and_p(baselines.ttest_ind([1.7] * 7, [0.3] * 5, equal_var)) == (math.inf, 0.0)
 
 
 class TestWilcoxonSignedRank:

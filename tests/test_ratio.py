@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -588,14 +589,28 @@ class TestStackedDriver:
         assert got == want
 
     def test_stacked_q_choice_is_each_rows_last_minimum(self):
-        # one argmin over all rows; a tie goes to the largest q, as a scan keeping the last minimum does
+        # one argmin over all rows; a tie goes to the largest q, as a scan keeping the last minimum does,
+        # and a NaN objective ranks as +inf
         rng = np.random.default_rng(12)
         objectives = rng.integers(0, 4, size=(200, len(lqrt.Q_GRID))).astype(float)
         objectives[::7] = np.inf
         objectives[1::7, 10:] = np.inf
-        want = [max(i for i, v in enumerate(row) if v == min(row)) for row in objectives.tolist()]
+        objectives[rng.random(objectives.shape) < 0.2] = np.nan
+        objectives[2::7] = np.nan
+        objectives[3::7, :40] = np.nan
+        ranked = [[math.inf if math.isnan(v) else v for v in row] for row in objectives.tolist()]
+        want = [max(i for i, v in enumerate(row) if v == min(row)) for row in ranked]
         assert ratio_test._best_q(objectives).tolist() == want
         assert [int(ratio_test._best_q(row)) for row in objectives] == want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_objective_is_never_chosen(self):
+        # at 1e-140 the squared scores overflow and 31 of the 51 objectives are NaN; argmin chose q 0.80 by one
+        x = np.loadtxt(Path(__file__).resolve().parent / "data" / "pair_x.csv", skiprows=1) * 1e-140
+        report = lqrt.select_q_1samp(x)
+        assert any(math.isnan(v) for _, v in report.grid)
+        assert not math.isnan(report.objective)
+        assert report.objective == min(v for _, v in report.grid if not math.isnan(v))
 
     def test_grid_objectives_are_the_sandwich_of_the_public_derivatives(self):
         # one weight evaluation serves score and curvature; the objectives keep their bits
