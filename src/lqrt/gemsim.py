@@ -47,8 +47,8 @@ TESTS_BY_SETUP = {
 # Default contamination grid; the mixture model requires eps < 0.5.
 DEFAULT_EPS_GRID = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
-# Most resampled elements that one stacked lqrt call may index: replicates x
-# max(bootstrap, q-grid rows) x the row width of all samples.  The call holds
+# Most elements that one stacked lqrt call may index: replicates x max(bootstrap
+# + 1 observed row, q-grid rows) x the row width of all samples.  The call holds
 # an index of at most 4 bytes per element and builds its float rows a window
 # at a time (mlqe.WINDOW_ELEMENTS).  run_scenario stacks as many whole
 # replicates as fit, at least one, so its memory does not grow with reps.
@@ -86,6 +86,14 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.setup not in SETUPS:
             raise ValueError(f"unknown setup {self.setup!r}")
+        count = 1 if self.setup == "one_sample" else 2
+        for name in ("means_null", "means_alt"):
+            means = tuple(getattr(self, name))
+            if len(means) != count:
+                raise ValueError(f"{name} must hold {count} value(s) for setup {self.setup!r}, got {len(means)}")
+            object.__setattr__(self, name, tuple(check_finite(m, name) for m in means))
+        if len(self.variances) != 3 or (self.setup.startswith("unpaired") and self.variances[1] is None):
+            raise ValueError(f"variances must be (sigma1_sq, sigma2_sq, tau_sq) for setup {self.setup!r}")
         object.__setattr__(self, "n", check_count(self.n, "n", minimum=2))
 
 
@@ -239,7 +247,7 @@ def run_scenario(
 
     # whole replicates per call, so a stacked lqrt call indexes at most STACK_ELEMENTS elements
     width = scenario.n * (1 if scenario.setup in ("one_sample", "paired") else 2)
-    per_call = max(1, STACK_ELEMENTS // (max(bootstrap, len(ratio_test.Q_GRID)) * width))
+    per_call = max(1, STACK_ELEMENTS // (max(bootstrap + 1, len(ratio_test.Q_GRID)) * width))
     rejections = [0] * len(eps_grid)
     todo = replicates()
     while chunk := list(itertools.islice(todo, per_call)):

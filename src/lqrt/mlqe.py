@@ -130,7 +130,7 @@ class FitConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        object.__setattr__(self, "tol", _number(self.tol, "tol", "be positive", lambda v: v > 0.0))
+        object.__setattr__(self, "tol", _number(self.tol, "tol", "be finite and positive", lambda v: 0.0 < v < np.inf))
         object.__setattr__(self, "max_iter", check_count(self.max_iter, "max_iter"))
 
 

@@ -97,30 +97,27 @@ def _degenerate(*fits) -> np.ndarray:
 
 
 # Each batch statistic tests mu = 0 on one sample or mu1 = mu2 on two.  It takes
-# one (B, n_k) block per sample, the q of each row, the FitConfig and each
-# sample's free fit as batch_fit_normal returns it, or None to have the
-# statistic fit them where it needs them (the pooled one does not).  It returns
+# one (B, n_k) block per sample, the q of each row and the FitConfig, and returns
 # (statistic, degenerate), one value per row.
 
 
-def _batch_statistic_1samp(blocks, q, cfg: FitConfig, free=None):
+def _batch_statistic_1samp(blocks, q, cfg: FitConfig):
     (xs,) = blocks
-    mu1, s21, _, conv1, clip1 = mlqe.batch_fit_normal(xs, q, cfg) if free is None else free[0]
+    mu1, s21, _, conv1, clip1 = mlqe.batch_fit_normal(xs, q, cfg)
     mu0, s20, _, conv0, clip0 = mlqe.batch_fit_variance_known_mean(xs, q, cfg)
     return _ratio(blocks, [(mu1, s21)], [(mu0, s20)], q), _degenerate((conv1, clip1), (conv0, clip0))
 
 
-def _batch_statistic_ind_equal(blocks, q, cfg: FitConfig, free=None):
+def _batch_statistic_ind_equal(blocks, q, cfg: FitConfig):
     xs, ys = blocks
     mx, my, s2, _, conv1, clip1 = mlqe.batch_fit_shared_variance(xs, ys, q, cfg)
     (mu0,), (s20,), _, conv0, clip0 = mlqe._fixed_point(blocks, (0, 0), (0, 0), q, cfg)
     return _ratio(blocks, [(mx, s2), (my, s2)], [(mu0, s20)] * 2, q), _degenerate((conv1, clip1), (conv0, clip0))
 
 
-def _batch_statistic_ind_unequal(blocks, q, cfg: FitConfig, free=None):
+def _batch_statistic_ind_unequal(blocks, q, cfg: FitConfig):
     xs, ys = blocks
-    fits = [mlqe.batch_fit_normal(b, q, cfg) for b in blocks] if free is None else free
-    (mx, s2x, _, convx, clipx), (my, s2y, _, convy, clipy) = fits
+    (mx, s2x, _, convx, clipx), (my, s2y, _, convy, clipy) = (mlqe.batch_fit_normal(b, q, cfg) for b in blocks)
     mu0, s2x0, s2y0, _, conv0, clip0 = mlqe.batch_fit_shared_mean(xs, ys, q, cfg)
     d = _ratio(blocks, [(mx, s2x), (my, s2y)], [(mu0, s2x0), (mu0, s2y0)], q)
     return d, _degenerate((convx, clipx), (convy, clipy), (conv0, clip0))
@@ -216,10 +213,11 @@ def _bounded(words: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
 
 
 def _resample_indices(seeds, reps: int, sizes: tuple[int, ...]) -> list[np.ndarray]:
-    """Index blocks for `reps` resamples of each of len(seeds) stacked datasets.
+    """Index blocks for `reps` resamples of each of R = len(seeds) stacked datasets, then the datasets themselves.
 
     Rows r*reps to (r+1)*reps - 1 resample dataset r, each from its own
-    substream of seeds[r]; an entry indexes dataset r's sample.
+    substream of seeds[r]; an entry indexes dataset r's sample.  Row
+    R*reps + r is np.arange(n), dataset r as observed, written in place.
     The substreams depend only on (seed, repetition index), so the
     resamples do not depend on evaluation order or on the other datasets.
     Row i of dataset r is what np.random.default_rng(child).integers(0, n,
@@ -234,7 +232,9 @@ def _resample_indices(seeds, reps: int, sizes: tuple[int, ...]) -> list[np.ndarr
     seqs = [_seed_sequence(seed) for seed in seeds]
     words, redo = (np.concatenate(parts) for parts in zip(*(_child_seed_words(ss, reps) for ss in seqs)))
     dtype = np.min_scalar_type(max(sizes) - 1)  # the smallest that indexes every sample
-    blocks = [np.empty((len(words), n), dtype=dtype) for n in sizes]
+    blocks = [np.empty((len(words) + len(seqs), n), dtype=dtype) for n in sizes]
+    for block, n in zip(blocks, sizes):
+        block[len(words):] = np.arange(n)
     for rows in mlqe._slices(0, len(words), sum(sizes)):
         # each child's PCG64 stream; Generator.integers takes each 64-bit output's low half, then its high half
         stream = np.empty((len(words[rows]), -(-sum(sizes) // 2)), dtype="<u8")
@@ -284,13 +284,14 @@ def _test(samples, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConfig) ->
     two-sample test of equal means, pooled when equal_var holds and Welch
     otherwise.  One stacked run of the grid (Q_GRID with q None, else (q,))
     fits every sample free at each grid q and gives dataset r the q of its
-    least objective.  Each sample's fit there serves the observed statistic,
-    and its mean centres the sample, which puts it on the null, for
-    resampling with replacement, the samples in order within each
-    repetition's substream.  Every phase is one batch over all datasets,
-    with per-row q, and outcome r equals that of dataset r tested alone,
-    bit for bit.  The resamples are index blocks read through lazy gathers
-    (mlqe._Gather), so their float rows exist only a window at a time.
+    least objective.  Each sample's mean there centres it, which puts it on
+    the null, for resampling with replacement, the samples in order within
+    each repetition's substream.  One batch statistic, at each row's q,
+    takes row r*bootstrap + i as dataset r's i-th resample and row
+    R*bootstrap + r as dataset r itself; outcome r equals that of dataset r
+    tested alone, bit for bit.  The rows are index blocks read through lazy
+    gathers (mlqe._Gather) of each sample centred and then as observed, so
+    their float rows exist only a window at a time.
     """
     bootstrap = check_count(bootstrap, "bootstrap")
     if len(samples) == 1:
@@ -298,22 +299,20 @@ def _test(samples, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConfig) ->
     else:
         statistic = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
     grid = Q_GRID if q is None else (check_q(q),)
-    objectives, fits = _grid_objectives(samples, grid, cfg)
+    objectives, means = _grid_objectives(samples, grid, cfg)
     best = _best_q(objectives)
-    q = np.asarray(grid)[best]
-    free = [[f[np.arange(len(best)), best] for f in fit] for fit in fits]
-    observed, _ = statistic(samples, q, cfg, free)
-    centred = [s - f[0][:, None] for s, f in zip(samples, free)]
+    q, reps = np.asarray(grid)[best], len(best)
     idx = _resample_indices(seeds, bootstrap, tuple(s.shape[1] for s in samples))
-    resampled = tuple(
-        mlqe._Gather(c.ravel(), i, np.repeat(np.arange(len(c)) * c.shape[1], bootstrap)) for c, i in zip(centred, idx)
-    )
-    boot, degen = statistic(resampled, np.repeat(q, bootstrap), cfg)
+    # row r*bootstrap + i reads centred sample r, row R*bootstrap + r sample r as observed
+    source = np.append(np.repeat(np.arange(reps), bootstrap), np.arange(reps, 2 * reps))
+    blocks = [mlqe._Gather(np.concatenate((s - mu[np.arange(reps), best, None], s)).ravel(), i, source * s.shape[1])
+              for s, mu, i in zip(samples, means, idx)]
+    stats, degen = statistic(blocks, np.append(np.repeat(q, bootstrap), q), cfg)
     outcomes = []
-    for r, stat in enumerate(observed.tolist()):
+    for r, stat in enumerate(stats[reps * bootstrap:].tolist()):
         rows = slice(r * bootstrap, (r + 1) * bootstrap)
         degenerate = float(np.count_nonzero(degen[rows])) / bootstrap
-        outcomes.append(TestOutcome(stat, _count_pvalue(boot[rows], stat), float(q[r]), bootstrap, degenerate))
+        outcomes.append(TestOutcome(stat, _count_pvalue(stats[rows], stat), float(q[r]), bootstrap, degenerate))
     return outcomes
 
 
@@ -356,14 +355,14 @@ def pvalue_bootstrap_ind(
 def _sandwich_objectives(xs: np.ndarray, grid, cfg: FitConfig):
     """Empirical a*b*a location variance at every q of grid, from unconstrained fits.
 
-    Returns the objectives and batch_fit_normal's outputs, each one row per
-    row of xs (shape (R, n)), from one fit of all R * len(grid) (dataset, q)
-    rows, which are gathered a slice at a time.
+    Returns the objectives and the fitted means, each one row per row of xs
+    (shape (R, n)), from one fit of all R * len(grid) (dataset, q) rows,
+    which are gathered a slice at a time.
     """
     reps = len(xs)
     qs = np.tile(grid, reps)
     block = mlqe._Gather.of_rows(xs, np.repeat(np.arange(reps), len(grid)))
-    mu, s2, *state = mlqe.batch_fit_normal(block, qs, cfg)
+    mu, s2, *_ = mlqe.batch_fit_normal(block, qs, cfg)
 
     b, mean_curv = np.empty(qs.size), np.empty(qs.size)
     for rows in mlqe._slices(0, *block.shape):
@@ -374,13 +373,13 @@ def _sandwich_objectives(xs: np.ndarray, grid, cfg: FitConfig):
     ok = mean_curv != 0.0
     a = 1.0 / mean_curv[ok]
     objective[ok] = a * b[ok] * a
-    return objective.reshape(reps, -1), [f.reshape(reps, -1) for f in (mu, s2, *state)]
+    return objective.reshape(reps, -1), mu.reshape(reps, -1)
 
 
 def _grid_objectives(samples, grid, cfg: FitConfig):
-    # the q-selection objective of each stacked dataset, its samples' sandwich variances summed, and each sample's fits
-    objectives, fits = zip(*(_sandwich_objectives(s, grid, cfg) for s in samples))
-    return sum(objectives), fits
+    # the q-selection objective of each stacked dataset, its samples' sandwich variances summed, and each sample's means
+    objectives, means = zip(*(_sandwich_objectives(s, grid, cfg) for s in samples))
+    return sum(objectives), means
 
 
 def _best_q(objectives: np.ndarray):

@@ -126,6 +126,25 @@ class TestBuiltinScenarios:
         assert all(s.n == 50 for s in scenarios.values())
         assert scenarios["paired"].means_alt == (0.0, 0.50)
 
+    @pytest.mark.parametrize("setup, means_null, means_alt, variances", [
+        # one mean for a two-sample set-up used to raise IndexError inside run_scenario
+        ("unpaired_equal_var", (0.0,), (0.0,), (1.0, 1.0, 50.0)),
+        ("paired", (0.0, 0.0), (0.5,), (1.0, 1.0, 50.0)),
+        ("one_sample", (0.0, 0.0), (0.3,), (1.0, None, 50.0)),
+        ("one_sample", (0.0,), (np.nan,), (1.0, None, 50.0)),
+        ("paired", (0.0, np.inf), (0.0, 0.5), (1.0, 1.0, 50.0)),
+        ("unpaired_unequal_var", (0.0, 0.0), (0.0, 0.5), (1.0, None, 50.0)),
+        ("unpaired_equal_var", (0.0, 0.0), (0.0, 0.5), (1.0, 50.0)),
+    ])
+    def test_spec_rejects_means_and_variances_that_do_not_fit_the_setup(self, setup, means_null, means_alt, variances):
+        with pytest.raises(ValueError):
+            gemsim.ScenarioSpec(setup, means_null, means_alt, variances)
+
+    def test_spec_means_are_checked_floats(self):
+        sc = gemsim.ScenarioSpec("paired", [0, "0"], (np.int64(0), 0.5), (1.0, 1.0, 50.0))
+        assert sc.means_null == (0.0, 0.0) and sc.means_alt == (0.0, 0.5)
+        assert all(type(m) is float for m in sc.means_null + sc.means_alt)
+
 
 class TestRunScenario:
     def test_single_repetition_degenerate(self):

@@ -443,6 +443,7 @@ class TestArgumentChecks:
         # a number given as text is read as the number, as check_q reads it
         assert lqmath.check_count("1e3", "bootstrap") == 1000 and lqmath.check_finite("-0.5", "u") == -0.5
         assert lqrt.FitConfig(tol="1e-8", max_iter="500") == lqrt.DEFAULT_CONFIG
-        for bad in ("abc", None, 0.0, np.nan):
-            with pytest.raises(ValueError, match=rf"^tol must be positive, got {bad!r}$"):
+        # an infinite tol stopped every row after one map evaluation, reported as converged
+        for bad in ("abc", None, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=rf"^tol must be finite and positive, got {bad!r}$"):
                 lqrt.FitConfig(tol=bad)

@@ -497,16 +497,16 @@ class TestOneFitPerTest:
 
     @pytest.mark.parametrize("q", [None, 0.7])
     @pytest.mark.parametrize(
-        "kind, want", [("onesample", 4), ("pooled", 6), ("welch", 6)]
+        "kind, want", [("onesample", 3), ("pooled", 4), ("welch", 5)]
     )
     def test_batch_fit_calls_per_test(self, monkeypatch, kind, want, q):
-        # the q grid (one free fit per sample, over 51 q or the one fixed q),
-        # the observed constrained fits, the bootstrap fits; each runs the fixed point once
-        calls = []
+        # the q grid (one free fit per sample, over 51 q or the one fixed q), then the fits of
+        # one statistic over the B resamples and the observed dataset; each runs the fixed point once
+        rows = []
         fixed_point = mlqe._fixed_point
 
         def counted(*args, **kwargs):
-            calls.append(args[1:3])
+            rows.append(args[0][0].shape[0])
             return fixed_point(*args, **kwargs)
 
         monkeypatch.setattr(mlqe, "_fixed_point", counted)
@@ -516,7 +516,8 @@ class TestOneFitPerTest:
             lqrt.lqrtest_1samp(x, 0.0, q=q, bootstrap=20, seed=1)
         else:
             lqrt.lqrtest_ind(x, y, equal_var=kind == "pooled", q=q, bootstrap=20, seed=1)
-        assert len(calls) == want
+        grid = 1 if kind == "onesample" else 2
+        assert rows == [len(lqrt.Q_GRID) if q is None else 1] * grid + [20 + 1] * (want - grid)
 
 
 class TestNonFiniteStatistic:
@@ -632,36 +633,32 @@ class TestStackedDriver:
 
     @pytest.mark.parametrize("q", [None, 0.7])
     @pytest.mark.parametrize("kind", ["onesample", "pooled", "welch"])
-    def test_free_fits_from_the_grid_equal_standalone_fits(self, monkeypatch, kind, q):
-        # the observed statistic takes each sample's free fit at q-hat off the grid's rows: stacked and
-        # alone, those are a standalone batch_fit_normal's bits, and the statistic is the public one's
+    def test_observed_rows_ride_in_the_bootstrap_batch(self, monkeypatch, kind, q):
+        # one statistic call over R * (B + 1) rows: the R resample blocks, then each dataset as observed,
+        # whose statistics are the public statistic's bits at its q-hat
         name, public = self.STATISTICS[kind]
         seen, real = [], getattr(ratio_test, name)
 
-        def spy(blocks, qs, cfg, free=None):
-            if free is not None:
-                seen.append((blocks, qs, free))
-            return real(blocks, qs, cfg, free)
+        def spy(blocks, qs, cfg):
+            out = real(blocks, qs, cfg)
+            seen.append((blocks, qs, out[0]))
+            return out
 
         monkeypatch.setattr(ratio_test, name, spy)
         xs, ys = self._datasets()
         samples = (np.stack(xs) - np.c_[self.MU0],) if kind == "onesample" else (np.stack(xs), np.stack(ys))
-        run = [ratio_test._test(samples, kind == "pooled", q, 20, range(5), mlqe.DEFAULT_CONFIG)]
-        for r in range(5):
-            alone = tuple(s[r:r + 1] for s in samples)
-            run.append(ratio_test._test(alone, kind == "pooled", q, 20, [r], mlqe.DEFAULT_CONFIG))
-        assert len(seen) == 6
-        for blocks, qs, free in seen:
-            assert len(free) == len(blocks)
-            for block, fit in zip(blocks, free):
-                want = mlqe.batch_fit_normal(block, qs)
-                assert [f.tobytes() for f in fit] == [w.tobytes() for w in want]
-        stacked = run[0]
+        stacked = ratio_test._test(samples, kind == "pooled", q, 20, range(5), mlqe.DEFAULT_CONFIG)
+        assert len(seen) == 1
+        (blocks, qs, stats), R = seen[0], 5
+        for block, sample in zip(blocks, samples):
+            assert block.shape == (R * 21, sample.shape[1])
+            assert block[R * 20:].tobytes() == sample.tobytes()
+        assert qs.tolist() == [o.q for o in stacked for _ in range(20)] + [o.q for o in stacked]
         if q is None:
             assert {1.0, 0.5} <= {o.q for o in stacked}
-        got = np.array([o.statistic for o in stacked])
         want = np.array([public(x, y, m, o.q) for x, y, m, o in zip(xs, ys, self.MU0, stacked)])
-        assert got.tobytes() == want.tobytes()
+        assert stats[R * 20:].tobytes() == want.tobytes()
+        assert [o.statistic for o in stacked] == want.tolist()
 
     def test_per_row_q_likelihood_matches_scalar_rows(self):
         xs, _ = self._datasets()
@@ -710,14 +707,17 @@ class TestStackedDriver:
 
 def _per_child_indices(seeds, reps, sizes):
     # the reference: one spawned child and one default_rng per resample, the blocks in order, each
-    # index stored in the smallest unsigned type that holds every index into one dataset's sample
+    # index stored in the smallest unsigned type that holds every index into one dataset's sample;
+    # then one identity row per dataset, which stands for the dataset as observed
     dtype = np.min_scalar_type(max(sizes) - 1)
-    blocks = [np.empty((len(seeds) * reps, n), dtype=dtype) for n in sizes]
+    blocks = [np.empty((len(seeds) * (reps + 1), n), dtype=dtype) for n in sizes]
     children = [child for ss in seeds for child in ss.spawn(reps)]
     for row, child in enumerate(children):
         rng = np.random.default_rng(child)
         for block, n in zip(blocks, sizes):
             block[row] = rng.integers(0, n, size=n)
+    for block, n in zip(blocks, sizes):
+        block[len(children):] = np.arange(n)
     return blocks
 
 
@@ -776,7 +776,7 @@ class TestResampleStream:
         children = [np.random.SeedSequence(9, spawn_key=(2**32 - 3 + i,)) for i in range(6)]
         rows = [[rng.integers(0, n, size=n).tolist() for n in (7, 10)] for rng in map(np.random.default_rng, children)]
         got = ratio_test._resample_indices([ss], 6, (7, 10))
-        assert [got[0].tolist(), got[1].tolist()] == [[r[0] for r in rows], [r[1] for r in rows]]
+        assert [b.tolist() for b in got] == [[r[k] for r in rows] + [list(range(n))] for k, n in enumerate((7, 10))]
 
     @pytest.mark.parametrize("kind", sorted(SEEDS))
     def test_child_words_seed_pcg64_as_the_child_does(self, kind):
