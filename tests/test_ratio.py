@@ -660,6 +660,45 @@ class TestStackedDriver:
         assert stats[R * 20:].tobytes() == want.tobytes()
         assert [o.statistic for o in stacked] == want.tolist()
 
+    @pytest.mark.parametrize("q", [None, 0.7])
+    @pytest.mark.parametrize("kind", ["onesample", "pooled", "welch"])
+    def test_free_fits_from_the_grid_equal_standalone_fits(self, monkeypatch, kind, q):
+        # each sample's free fit at q-hat comes off the grid's rows and centres its resamples: stacked and
+        # alone, its mean is a standalone batch_fit_normal's bits, and every resample draws from the sample less it
+        name, _ = self.STATISTICS[kind]
+        means, blocks = [], []
+        grid_objectives, statistic = ratio_test._grid_objectives, getattr(ratio_test, name)
+
+        def grid_spy(samples, grid, cfg):
+            out = grid_objectives(samples, grid, cfg)
+            means.append(out[1])
+            return out
+
+        def statistic_spy(bs, qs, cfg):
+            blocks.append(bs)
+            return statistic(bs, qs, cfg)
+
+        monkeypatch.setattr(ratio_test, "_grid_objectives", grid_spy)
+        monkeypatch.setattr(ratio_test, name, statistic_spy)
+        xs, ys = self._datasets()
+        samples = (np.stack(xs) - np.c_[self.MU0],) if kind == "onesample" else (np.stack(xs), np.stack(ys))
+        runs = [(samples, ratio_test._test(samples, kind == "pooled", q, 20, range(5), mlqe.DEFAULT_CONFIG))]
+        for r in range(5):
+            alone = tuple(s[r:r + 1] for s in samples)
+            runs.append((alone, ratio_test._test(alone, kind == "pooled", q, 20, [r], mlqe.DEFAULT_CONFIG)))
+        assert len(means) == len(blocks) == 6
+        grid = list(lqrt.Q_GRID) if q is None else [q]
+        for (data, outcomes), mus, bs in zip(runs, means, blocks):
+            assert len(mus) == len(bs) == len(data)
+            for sample, mu, block in zip(data, mus, bs):
+                for r, o in enumerate(outcomes):
+                    want = mlqe.batch_fit_normal(sample[r:r + 1], np.array([o.q]))[0]
+                    assert mu[r, grid.index(o.q)].tobytes() == want[0].tobytes()
+                    assert np.isin(block[r * 20:(r + 1) * 20], sample[r] - want[0]).all()
+        if q is None:
+            assert {1.0, 0.5} <= {o.q for o in runs[0][1]}
+        assert [o for _, (o,) in runs[1:]] == runs[0][1]
+
     def test_per_row_q_likelihood_matches_scalar_rows(self):
         xs, _ = self._datasets()
         block = np.stack(xs)
