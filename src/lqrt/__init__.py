@@ -35,7 +35,6 @@ from .mlqe import (
     fit_shared_mean,
     fit_shared_variance,
     fit_variance_known_mean,
-    variance_bias_correction,
 )
 from .ratio_test import (
     Q_GRID,
@@ -44,8 +43,6 @@ from .ratio_test import (
     lqrtest_1samp,
     lqrtest_ind,
     lqrtest_rel,
-    pvalue_bootstrap_1samp,
-    pvalue_bootstrap_ind,
     select_q_1samp,
     select_q_ind,
     statistic_1samp,
@@ -80,8 +77,6 @@ __all__ = [
     "lqrtest_1samp",
     "lqrtest_ind",
     "lqrtest_rel",
-    "pvalue_bootstrap_1samp",
-    "pvalue_bootstrap_ind",
     "rank_sum",
     "run_scenario",
     "sample_gem",
@@ -95,6 +90,5 @@ __all__ = [
     "ttest_1samp",
     "ttest_ind",
     "ttest_rel",
-    "variance_bias_correction",
     "wilcoxon_signed_rank",
 ]

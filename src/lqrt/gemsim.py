@@ -20,7 +20,6 @@ import numpy as np
 
 from . import baselines, ratio_test
 from .lqmath import check_alpha, check_count, check_eps, check_finite
-from .mlqe import DEFAULT_CONFIG
 
 __all__ = [
     "GrossErrorSpec",
@@ -198,7 +197,7 @@ def _pvalues(test: str, setup: str, datasets, seeds, bootstrap: int) -> list[flo
     equal_var = setup == "unpaired_equal_var"
     if test == "lqrt":
         samples = tuple(np.stack(s) for s in zip(*datasets))
-        outcomes = ratio_test._test(samples, equal_var, None, bootstrap, seeds, DEFAULT_CONFIG)
+        outcomes = ratio_test._test(samples, equal_var, None, bootstrap, seeds)
         return [out.pvalue for out in outcomes]
     classical = {
         "t": lambda d: (baselines.ttest_1samp(d[0], 0.0) if len(d) == 1

@@ -68,7 +68,6 @@ __all__ = [
     "fit_variance_known_mean",
     "fit_shared_variance",
     "fit_shared_mean",
-    "variance_bias_correction",
 ]
 
 # 64-bit machine epsilon: a fit's variances are floored at this multiple of
@@ -510,11 +509,3 @@ def fit_shared_mean(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> SharedMe
     samples = (as_sample(x, 2, "x"), as_sample(y, 2, "y"))
     return _one_row(SharedMeanFit, batch_fit_shared_mean, samples, check_q(q), cfg=cfg)
 
-
-def variance_bias_correction(sigma2: float, q: float) -> float:
-    """Rescale a fitted variance by q, removing its asymptotic bias.
-
-    Diagnostic helper only; the test statistics use the uncorrected fits.
-    """
-    sigma2 = _number(sigma2, "sigma2", "be positive", lambda v: v > 0.0)
-    return check_q(q) * sigma2

@@ -25,8 +25,6 @@ __all__ = [
     "statistic_1samp",
     "statistic_ind_equal_var",
     "statistic_ind_unequal_var",
-    "pvalue_bootstrap_1samp",
-    "pvalue_bootstrap_ind",
     "select_q_1samp",
     "select_q_ind",
     "lqrtest_1samp",
@@ -275,12 +273,12 @@ def _count_pvalue(boot: np.ndarray, observed: float) -> float:
     return count / boot.size
 
 
-def _test(samples, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConfig) -> list[TestOutcome]:
-    """The TestOutcomes of R datasets tested together; every test result is made here.
+def _test(samples, equal_var: bool, q, bootstrap: int, seeds) -> list[TestOutcome]:
+    """The TestOutcomes of R datasets tested together at DEFAULT_CONFIG; every test result is made here.
 
     `samples` holds one (R, n_k) block per sample, row r of each being
     dataset r, and `seeds` the R seeds.  One block is the one-sample test
-    of H0: mu = 0 (the public entries test x - mu0); two blocks are the
+    of H0: mu = 0 (lqrtest_1samp tests x - u); two blocks are the
     two-sample test of equal means, pooled when equal_var holds and Welch
     otherwise.  One stacked run of the grid (Q_GRID with q None, else (q,))
     fits every sample free at each grid q and gives dataset r the q of its
@@ -299,7 +297,7 @@ def _test(samples, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConfig) ->
     else:
         statistic = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
     grid = Q_GRID if q is None else (check_q(q),)
-    objectives, means = _grid_objectives(samples, grid, cfg)
+    objectives, means = _grid_objectives(samples, grid, DEFAULT_CONFIG)
     best = _best_q(objectives)
     q, reps = np.asarray(grid)[best], len(best)
     idx = _resample_indices(seeds, bootstrap, tuple(s.shape[1] for s in samples))
@@ -307,49 +305,13 @@ def _test(samples, equal_var: bool, q, bootstrap: int, seeds, cfg: FitConfig) ->
     source = np.append(np.repeat(np.arange(reps), bootstrap), np.arange(reps, 2 * reps))
     blocks = [mlqe._Gather(np.concatenate((s - mu[np.arange(reps), best, None], s)).ravel(), i, source * s.shape[1])
               for s, mu, i in zip(samples, means, idx)]
-    stats, degen = statistic(blocks, np.append(np.repeat(q, bootstrap), q), cfg)
+    stats, degen = statistic(blocks, np.append(np.repeat(q, bootstrap), q), DEFAULT_CONFIG)
     outcomes = []
     for r, stat in enumerate(stats[reps * bootstrap:].tolist()):
         rows = slice(r * bootstrap, (r + 1) * bootstrap)
         degenerate = float(np.count_nonzero(degen[rows])) / bootstrap
         outcomes.append(TestOutcome(stat, _count_pvalue(stats[rows], stat), float(q[r]), bootstrap, degenerate))
     return outcomes
-
-
-def pvalue_bootstrap_1samp(
-    x,
-    mu0: float,
-    q: float,
-    bootstrap: int,
-    seed=None,
-    cfg: FitConfig = DEFAULT_CONFIG,
-) -> tuple[float, float]:
-    """Bootstrap p-value for the one-sample test, the test of x - mu0 against 0.
-
-    x - mu0 is centred on its robustly fitted mean, then resampled with
-    replacement; the p-value is the fraction of resampled statistics
-    exceeding the observed one.  Returns (pvalue, degenerate_fraction).
-    """
-    (out,) = _test(_minus_null(q, x, mu0, "mu0"), None, q, bootstrap, (seed,), cfg)
-    return out.pvalue, out.degenerate_fraction
-
-
-def pvalue_bootstrap_ind(
-    x,
-    y,
-    q: float,
-    equal_var: bool,
-    bootstrap: int,
-    seed=None,
-    cfg: FitConfig = DEFAULT_CONFIG,
-) -> tuple[float, float]:
-    """Bootstrap p-value for the two-sample unpaired test.
-
-    Each sample is centered on its own robust mean and resampled
-    independently (x then y within each repetition's substream).
-    """
-    (out,) = _test(_stack(q, x=x, y=y), equal_var, q, bootstrap, (seed,), cfg)
-    return out.pvalue, out.degenerate_fraction
 
 
 def _sandwich_objectives(xs: np.ndarray, grid, cfg: FitConfig):
@@ -419,7 +381,7 @@ def lqrtest_1samp(x, u: float, q=None, bootstrap: int = 100, seed=None) -> TestO
     adaptively, which needs at least three observations.  The statistic
     does not depend on `bootstrap`; only the p-value resolution does.
     """
-    return _test(_minus_null(q, x, u, "u"), None, q, bootstrap, (seed,), DEFAULT_CONFIG)[0]
+    return _test(_minus_null(q, x, u, "u"), None, q, bootstrap, (seed,))[0]
 
 
 def lqrtest_rel(x1, x2, q=None, bootstrap: int = 100, seed=None) -> TestOutcome:
@@ -434,4 +396,4 @@ def lqrtest_ind(x1, x2, equal_var: bool = True, q=None, bootstrap: int = 100, se
     equal_var=True pools the variance (Student-like); equal_var=False
     leaves the variances free (Welch-like).
     """
-    return _test(_stack(q, x1=x1, x2=x2), equal_var, q, bootstrap, (seed,), DEFAULT_CONFIG)[0]
+    return _test(_stack(q, x1=x1, x2=x2), equal_var, q, bootstrap, (seed,))[0]

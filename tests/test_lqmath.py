@@ -276,8 +276,6 @@ class TestArgumentChecks:
         pytest.param("u", lambda x, v: lqrt.lqrtest_1samp(x, v, q=0.7, bootstrap=10, seed=1),
                      id="lqrtest_1samp"),
         pytest.param("mu0", lambda x, v: lqrt.statistic_1samp(x, v, 0.7), id="statistic_1samp"),
-        pytest.param("mu0", lambda x, v: lqrt.pvalue_bootstrap_1samp(x, v, 0.7, 10, seed=1),
-                     id="pvalue_bootstrap_1samp"),
         pytest.param("mu", lambda x, v: lqrt.fit_variance_known_mean(x, v, 0.7),
                      id="fit_variance_known_mean"),
         pytest.param("mu0", lambda x, v: lqrt.ttest_1samp(x, v), id="ttest_1samp"),
@@ -291,8 +289,6 @@ class TestArgumentChecks:
         pytest.param("x - u", lambda x, v: lqrt.lqrtest_1samp(x, v, q=0.7, bootstrap=10, seed=1),
                      id="lqrtest_1samp"),
         pytest.param("x - mu0", lambda x, v: lqrt.statistic_1samp(x, v, 0.7), id="statistic_1samp"),
-        pytest.param("x - mu0", lambda x, v: lqrt.pvalue_bootstrap_1samp(x, v, 0.7, 10, seed=1),
-                     id="pvalue_bootstrap_1samp"),
         pytest.param("x1 - x2", lambda x, v: lqrt.lqrtest_rel(x, np.full(x.size, v), q=0.7, bootstrap=10, seed=1),
                      id="lqrtest_rel"),
         pytest.param("sample - mu", lambda x, v: lqrt.fit_variance_known_mean(x, v, 0.7),
@@ -309,10 +305,6 @@ class TestArgumentChecks:
                      id="lqrtest_1samp"),
         pytest.param("bootstrap", lambda x, k: lqrt.lqrtest_ind(x, x + 1.0, q=0.7, bootstrap=k, seed=1),
                      id="lqrtest_ind"),
-        pytest.param("bootstrap", lambda x, k: lqrt.pvalue_bootstrap_1samp(x, 0.0, 0.7, k, seed=1),
-                     id="pvalue_bootstrap_1samp"),
-        pytest.param("bootstrap", lambda x, k: lqrt.pvalue_bootstrap_ind(x, x, 0.7, True, k, seed=1),
-                     id="pvalue_bootstrap_ind"),
         pytest.param("reps", lambda x, k: gemsim.run_scenario(
             gemsim.builtin_scenarios()[0], "t", eps_grid=[0.0], reps=k, seed=0), id="run_scenario"),
         pytest.param("bootstrap", lambda x, k: gemsim.run_scenario(
@@ -400,8 +392,6 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("call", [
         pytest.param(lambda x, q: lqrt.lqrtest_1samp(x, 0.0, q=q, bootstrap=10, seed=1), id="lqrtest_1samp"),
         pytest.param(lambda x, q: lqrt.lqrtest_ind(x, x + 1.0, q=q, bootstrap=10, seed=1), id="lqrtest_ind"),
-        pytest.param(lambda x, q: lqrt.pvalue_bootstrap_1samp(x, 0.0, q, 10, seed=1), id="pvalue_bootstrap_1samp"),
-        pytest.param(lambda x, q: lqrt.pvalue_bootstrap_ind(x, x, q, False, 10, seed=1), id="pvalue_bootstrap_ind"),
     ])
     def test_adaptive_q_needs_three_observations(self, call):
         with pytest.raises(ValueError, match=r"must hold at least 3 observations, got 2$"):
@@ -426,13 +416,6 @@ class TestArgumentChecks:
                 gemsim.GrossErrorSpec(0.0, 1.0, 50.0, bad)
         with pytest.raises(ValueError, match=r"^need 0 < sigma2 < tau2$"):
             gemsim.GrossErrorSpec(0.0, 2.0, "2", 0.1)
-
-    def test_variance_bias_correction_reads_numbers(self):
-        # sigma2 given as text used to raise TypeError from the comparison
-        assert lqrt.variance_bias_correction("1.0", 0.5) == 0.5
-        for bad in (None, "abc", 0.0, -1.0, np.nan):
-            with pytest.raises(ValueError, match=rf"^sigma2 must be positive, got {re.escape(repr(bad))}$"):
-                lqrt.variance_bias_correction(bad, 0.5)
 
     def test_check_helpers_return_plain_numbers(self):
         assert lqmath.check_finite(np.float64(0.25), "mu0") == 0.25

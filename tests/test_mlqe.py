@@ -368,14 +368,6 @@ def test_overflowing_rows_warn_in_no_window(monkeypatch, fit, window):
     assert (iterations[20], converged[20], clipped[20]) == (1, False, True)
 
 
-def test_variance_bias_correction():
-    assert lqrt.variance_bias_correction(1.0, 1.0) == 1.0
-    assert lqrt.variance_bias_correction(2.0, 0.5) == 1.0
-    assert lqrt.variance_bias_correction(0.8, 0.9) == pytest.approx(0.72, rel=1e-15)
-    with pytest.raises(ValueError):
-        lqrt.variance_bias_correction(-1.0, 0.5)
-
-
 def plain_fit(blocks, mean_of, var_of, q, pinned=False, tol=1e-12, max_iter=20_000):
     """The reweighting map without acceleration, on every row at once, each row stopped by the engine's rules.
 

@@ -141,37 +141,35 @@ class TestBootstrapPvalues:
     def test_symmetric_null_statistic_gives_large_pvalue(self):
         x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
         assert lqrt.statistic_1samp(x, 0.0, 1.0) <= 1e-12
-        p, _ = lqrt.pvalue_bootstrap_1samp(x, 0.0, 1.0, 200, seed=0)
-        assert p >= 0.9
+        assert lqrt.lqrtest_1samp(x, 0.0, q=1.0, bootstrap=200, seed=0).pvalue >= 0.9
 
     def test_pvalue_on_lattice(self):
         rng = np.random.default_rng(29)
         x = rng.normal(0.2, 1, 20)
         for B in (1, 7, 100):
-            p, _ = lqrt.pvalue_bootstrap_1samp(x, 0.0, 0.8, B, seed=5)
+            p = lqrt.lqrtest_1samp(x, 0.0, q=0.8, bootstrap=B, seed=5).pvalue
             assert p * B == pytest.approx(round(p * B), abs=1e-12)
             assert 0.0 <= p <= 1.0
 
     def test_contamination_ordering_robust_q_rejects_harder(self):
         rng = np.random.default_rng(314)
         x = np.concatenate([rng.normal(0.32, 1, 45), rng.normal(0.32, np.sqrt(50), 5)])
-        p_robust, _ = lqrt.pvalue_bootstrap_1samp(x, 0.0, 0.6, 1000, seed=1)
-        p_efficient, _ = lqrt.pvalue_bootstrap_1samp(x, 0.0, 0.9, 1000, seed=1)
+        p_robust = lqrt.lqrtest_1samp(x, 0.0, q=0.6, bootstrap=1000, seed=1).pvalue
+        p_efficient = lqrt.lqrtest_1samp(x, 0.0, q=0.9, bootstrap=1000, seed=1).pvalue
         assert p_robust <= p_efficient
 
     def test_two_sample_identical_inputs(self):
         rng = np.random.default_rng(30)
         x = rng.normal(0, 1, 25)
         for equal_var in (True, False):
-            p, _ = lqrt.pvalue_bootstrap_ind(x, x, 0.8, equal_var, 100, seed=3)
-            assert p >= 0.9
+            assert lqrt.lqrtest_ind(x, x, equal_var=equal_var, q=0.8, bootstrap=100, seed=3).pvalue >= 0.9
 
     def test_two_sample_null_behavior_many_seeds(self):
         rng = np.random.default_rng(31)
         x = rng.normal(0, 1, 50)
         y = rng.normal(0, 1, 70)
         wins = sum(
-            lqrt.pvalue_bootstrap_ind(x, y, 0.9, True, 100, seed=meta)[0] > 0.5
+            lqrt.lqrtest_ind(x, y, q=0.9, bootstrap=100, seed=meta).pvalue > 0.5
             for meta in range(100)
         )
         assert wins >= 95
@@ -179,13 +177,9 @@ class TestBootstrapPvalues:
     def test_determinism(self):
         rng = np.random.default_rng(32)
         x = contaminated(rng, n=30, n_out=3)
-        a = lqrt.pvalue_bootstrap_1samp(x, 0.0, 0.7, 150, seed=99)
-        b = lqrt.pvalue_bootstrap_1samp(x, 0.0, 0.7, 150, seed=99)
+        a = lqrt.lqrtest_1samp(x, 0.0, q=0.7, bootstrap=150, seed=99)
+        b = lqrt.lqrtest_1samp(x, 0.0, q=0.7, bootstrap=150, seed=99)
         assert a == b
-
-    def test_rejects_bad_bootstrap_count(self):
-        with pytest.raises(ValueError):
-            lqrt.pvalue_bootstrap_1samp([1.0, 2.0], 0.0, 0.8, 0)
 
 
 class TestSelectQ:
@@ -328,8 +322,8 @@ class TestOneSampleShift:
         d = x - u
         assert repr(lqrt.lqrtest_1samp(x, u, bootstrap=50, seed=3)) == repr(
             lqrt.lqrtest_1samp(d, 0.0, bootstrap=50, seed=3))
-        assert repr(lqrt.pvalue_bootstrap_1samp(x, u, 0.7, 50, seed=3)) == repr(
-            lqrt.pvalue_bootstrap_1samp(d, 0.0, 0.7, 50, seed=3))
+        assert repr(lqrt.lqrtest_1samp(x, u, q=0.7, bootstrap=50, seed=3)) == repr(
+            lqrt.lqrtest_1samp(d, 0.0, q=0.7, bootstrap=50, seed=3))
         assert repr(lqrt.statistic_1samp(x, u, 0.7)) == repr(lqrt.statistic_1samp(d, 0.0, 0.7))
 
     def test_shift_of_a_trillion(self):
@@ -440,8 +434,7 @@ def test_null_pvalues_roughly_uniform():
     pvals = []
     for _ in range(60):
         x = rng.normal(0, 1, 30)
-        p, _ = lqrt.pvalue_bootstrap_1samp(x, 0.0, 0.9, 60, seed=int(rng.integers(2**32)))
-        pvals.append(p)
+        pvals.append(lqrt.lqrtest_1samp(x, 0.0, q=0.9, bootstrap=60, seed=int(rng.integers(2**32))).pvalue)
     assert 0.35 < np.mean(pvals) < 0.65
 
 
@@ -480,9 +473,8 @@ class TestOneFitPerTest:
     def test_1samp_matches_standalone_bitwise(self, q):
         x = _readme_sample()
         out = lqrt.lqrtest_1samp(x, 0.2, q=q, bootstrap=200, seed=5)
-        p, degenerate = lqrt.pvalue_bootstrap_1samp(x, 0.2, out.q, 200, seed=5)
+        assert out == lqrt.lqrtest_1samp(x, 0.2, q=out.q, bootstrap=200, seed=5)
         assert out.statistic == lqrt.statistic_1samp(x, 0.2, out.q)
-        assert (out.pvalue, out.degenerate_fraction) == (p, degenerate)
 
     @pytest.mark.parametrize("q", [None, 0.6, 1.0])
     @pytest.mark.parametrize("equal_var", [True, False])
@@ -491,9 +483,8 @@ class TestOneFitPerTest:
         y = contaminated(np.random.default_rng(77), n=40, n_out=4)
         out = lqrt.lqrtest_ind(x, y, equal_var=equal_var, q=q, bootstrap=200, seed=6)
         stat = lqrt.statistic_ind_equal_var if equal_var else lqrt.statistic_ind_unequal_var
-        p, degenerate = lqrt.pvalue_bootstrap_ind(x, y, out.q, equal_var, 200, seed=6)
+        assert out == lqrt.lqrtest_ind(x, y, equal_var=equal_var, q=out.q, bootstrap=200, seed=6)
         assert out.statistic == stat(x, y, out.q)
-        assert (out.pvalue, out.degenerate_fraction) == (p, degenerate)
 
     @pytest.mark.parametrize("q", [None, 0.7])
     @pytest.mark.parametrize(
@@ -563,7 +554,7 @@ class TestStackedDriver:
     def test_1samp_rows_equal_single_calls(self, q):
         xs, _ = self._datasets()
         seeds = list(range(40, 45))
-        stacked = ratio_test._test((np.stack(xs) - np.c_[self.MU0],), None, q, 60, seeds, mlqe.DEFAULT_CONFIG)
+        stacked = ratio_test._test((np.stack(xs) - np.c_[self.MU0],), None, q, 60, seeds)
         single = [lqrt.lqrtest_1samp(x, m, q=q, bootstrap=60, seed=s) for x, m, s in zip(xs, self.MU0, seeds)]
         assert [self._fields(o) for o in stacked] == [self._fields(o) for o in single]
         if q is None:
@@ -574,7 +565,7 @@ class TestStackedDriver:
     def test_ind_rows_equal_single_calls(self, q, equal_var):
         xs, ys = self._datasets()
         seeds = list(range(50, 55))
-        stacked = ratio_test._test((np.stack(xs), np.stack(ys)), equal_var, q, 60, seeds, mlqe.DEFAULT_CONFIG)
+        stacked = ratio_test._test((np.stack(xs), np.stack(ys)), equal_var, q, 60, seeds)
         single = [lqrt.lqrtest_ind(x, y, equal_var=equal_var, q=q, bootstrap=60, seed=s)
                   for x, y, s in zip(xs, ys, seeds)]
         assert [self._fields(o) for o in stacked] == [self._fields(o) for o in single]
@@ -584,7 +575,7 @@ class TestStackedDriver:
     def test_stacked_lqrtest_is_the_adaptive_test_of_each_row(self):
         xs, ys = self._datasets()
         seeds = [np.random.SeedSequence(9, spawn_key=(r,)) for r in range(5)]
-        got = ratio_test._test((np.stack(xs),), True, None, 40, seeds, mlqe.DEFAULT_CONFIG)
+        got = ratio_test._test((np.stack(xs),), True, None, 40, seeds)
         want = [lqrt.lqrtest_1samp(x, 0.0, bootstrap=40, seed=np.random.SeedSequence(9, spawn_key=(r,)))
                 for r, x in enumerate(xs)]
         assert got == want
@@ -647,7 +638,7 @@ class TestStackedDriver:
         monkeypatch.setattr(ratio_test, name, spy)
         xs, ys = self._datasets()
         samples = (np.stack(xs) - np.c_[self.MU0],) if kind == "onesample" else (np.stack(xs), np.stack(ys))
-        stacked = ratio_test._test(samples, kind == "pooled", q, 20, range(5), mlqe.DEFAULT_CONFIG)
+        stacked = ratio_test._test(samples, kind == "pooled", q, 20, range(5))
         assert len(seen) == 1
         (blocks, qs, stats), R = seen[0], 5
         for block, sample in zip(blocks, samples):
@@ -682,10 +673,10 @@ class TestStackedDriver:
         monkeypatch.setattr(ratio_test, name, statistic_spy)
         xs, ys = self._datasets()
         samples = (np.stack(xs) - np.c_[self.MU0],) if kind == "onesample" else (np.stack(xs), np.stack(ys))
-        runs = [(samples, ratio_test._test(samples, kind == "pooled", q, 20, range(5), mlqe.DEFAULT_CONFIG))]
+        runs = [(samples, ratio_test._test(samples, kind == "pooled", q, 20, range(5)))]
         for r in range(5):
             alone = tuple(s[r:r + 1] for s in samples)
-            runs.append((alone, ratio_test._test(alone, kind == "pooled", q, 20, [r], mlqe.DEFAULT_CONFIG)))
+            runs.append((alone, ratio_test._test(alone, kind == "pooled", q, 20, [r])))
         assert len(means) == len(blocks) == 6
         grid = list(lqrt.Q_GRID) if q is None else [q]
         for (data, outcomes), mus, bs in zip(runs, means, blocks):
