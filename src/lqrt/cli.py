@@ -114,7 +114,6 @@ def parse_args(argv) -> argparse.Namespace:
     sim.add_argument("--size", action="store_true", dest="under_null",
                      help="generate under the null means (size) instead of the alternative (power)")
     sim.add_argument("-o", "--output", default=None)
-    sim.set_defaults(fmt="csv")
 
     args = parser.parse_args(argv)
     if args.subcommand == "selectq" and len(args.inputs) > 2:
@@ -183,39 +182,33 @@ def _emit(text: str, output: Optional[str]) -> None:
             handle.write(text)
 
 
+# read off TestOutcome by name, not by dataclasses.fields, so a field added there changes no report by itself
+_TEST_FIELDS = ("statistic", "pvalue", "q", "bootstrap", "degenerate_fraction")
+_SIMULATE_HEADER = ("scenario", "test", "epsilon", "rate", "ci_low", "ci_high", "reps", "alpha", "seed")
+
+
+def _json(pairs) -> str:
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in pairs) + "}\n"
+
+
+def _csv(header, rows) -> str:
+    return "".join(",".join(row) + "\n" for row in (header, *rows))
+
+
 def _test_report(outcome: ratio_test.TestOutcome, seed, fmt: str) -> str:
-    seed_txt = "null" if seed is None else str(int(seed))
-    if fmt == "json":
-        return (
-            "{"
-            f'"statistic": {_fmt(outcome.statistic)}, '
-            f'"pvalue": {_fmt(outcome.pvalue)}, '
-            f'"q": {_fmt(outcome.q)}, '
-            f'"bootstrap": {outcome.bootstrap}, '
-            f'"degenerate_fraction": {_fmt(outcome.degenerate_fraction)}, '
-            f'"seed": {seed_txt}'
-            "}\n"
-        )
-    seed_csv = "" if seed is None else str(int(seed))
-    return (
-        "statistic,pvalue,q,bootstrap,degenerate_fraction,seed\n"
-        f"{_fmt(outcome.statistic)},{_fmt(outcome.pvalue)},{_fmt(outcome.q)},"
-        f"{outcome.bootstrap},{_fmt(outcome.degenerate_fraction)},{seed_csv}\n"
-    )
+    header = _TEST_FIELDS + ("seed",)
+    values = [_fmt(getattr(outcome, name)) for name in _TEST_FIELDS]
+    if fmt == "csv":
+        return _csv(header, [values + ["" if seed is None else _fmt(seed)]])
+    return _json(zip(header, values + ["null" if seed is None else _fmt(seed)]))
 
 
 def _selectq_report(report: ratio_test.QSelectionReport, fmt: str) -> str:
-    if fmt == "json":
-        grid = ", ".join(f"[{_fmt(q)}, {_fmt(v)}]" for q, v in report.grid)
-        return (
-            "{"
-            f'"q": {_fmt(report.q_hat)}, '
-            f'"objective": {_fmt(report.objective)}, '
-            f'"grid": [{grid}]'
-            "}\n"
-        )
-    rows = "".join(f"{_fmt(q)},{_fmt(v)}\n" for q, v in report.grid)
-    return "q,objective\n" + rows
+    grid = [(_fmt(q), _fmt(v)) for q, v in report.grid]
+    if fmt == "csv":
+        return _csv(("q", "objective"), grid)
+    pairs = ", ".join(f"[{q}, {v}]" for q, v in grid)
+    return _json([("q", _fmt(report.q_hat)), ("objective", _fmt(report.objective)), ("grid", f"[{pairs}]")])
 
 
 def _simulate_report(cfg: argparse.Namespace) -> str:
@@ -223,27 +216,16 @@ def _simulate_report(cfg: argparse.Namespace) -> str:
     if cfg.scenario != "all":
         scenarios = [s for s in scenarios if s.setup == cfg.scenario]
     seed = cfg.seed if cfg.seed is not None else int(np.random.SeedSequence().entropy)
-    lines = ["scenario,test,epsilon,rate,ci_low,ci_high,reps,alpha,seed"]
+    rows = []
     for scenario in scenarios:
         tests = cfg.tests if cfg.tests is not None else list(gemsim.TESTS_BY_SETUP[scenario.setup])
         for test in tests:
-            estimates = gemsim.run_scenario(
-                scenario,
-                test,
-                eps_grid=cfg.eps_grid,
-                reps=cfg.reps,
-                alpha=cfg.alpha,
-                bootstrap=cfg.bootstrap,
-                seed=seed,
-                under_null=cfg.under_null,
-            )
-            for est in estimates:
-                lines.append(
-                    f"{scenario.setup},{test},{_fmt(est.epsilon)},{_fmt(est.rejection_rate)},"
-                    f"{_fmt(est.ci_low)},{_fmt(est.ci_high)},{est.repetitions},"
-                    f"{_fmt(est.alpha)},{est.seed}"
-                )
-    return "\n".join(lines) + "\n"
+            for est in gemsim.run_scenario(scenario, test, eps_grid=cfg.eps_grid, reps=cfg.reps, alpha=cfg.alpha,
+                                           bootstrap=cfg.bootstrap, seed=seed, under_null=cfg.under_null):
+                values = map(_fmt, (est.epsilon, est.rejection_rate, est.ci_low, est.ci_high, est.repetitions,
+                                    est.alpha, est.seed))
+                rows.append([scenario.setup, test, *values])
+    return _csv(_SIMULATE_HEADER, rows)
 
 
 def _report(cfg: argparse.Namespace) -> str:
@@ -279,6 +261,3 @@ def run(cfg: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     return run(parse_args(argv))
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -96,6 +96,10 @@ class TestTTestScale:
             assert t == pytest.approx(t1, rel=1e-13)
             assert p == pytest.approx(p1, rel=1e-13)
 
+    def test_null_beyond_the_data_by_more_than_the_exponent_range(self):
+        # mu0 divided by the data's power of two overflows: t is -inf, p is 0
+        assert _t_and_p(baselines.ttest_1samp(self.X * 1e-300, 1e10)) == (-math.inf, 0.0)
+
 
 class TestTTestRel:
     def test_identical_samples(self):

@@ -101,6 +101,7 @@ class TestParseArgs:
         (["onesample", "DATA"], "--seed", "-1", "seed must be a whole number of at least 0, got '-1'"),
         (["onesample", "DATA"], "--seed", "2.5", "seed must be a whole number of at least 0, got '2.5'"),
         (["simulate"], "--seed", "-3", "seed must be a whole number of at least 0, got '-3'"),
+        (["simulate"], "--eps", ",", "empty contamination grid"),
     ])
     def test_other_arguments_get_the_library_checks(self, sample_files, capsys, argv, flag, value, message):
         # each is a usage error (status 2) naming the argument, before any data is read
@@ -129,7 +130,17 @@ class TestParseArgs:
         assert cfg.tests == ["t", "sign"]
         assert cfg.eps_grid == [0.0, 0.1]
         assert cfg.under_null is True
-        assert cfg.fmt == "csv"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["selectq", "DATA", "DATA", "DATA"], "selectq takes one or two input files"),
+        (["paired", "DATA"], "paired needs two input files (or one with --paired-columns)"),
+        (["paired", "DATA", "DATA", "--paired-columns"], "--paired-columns takes exactly one input file"),
+    ])
+    def test_wrong_number_of_inputs_exits_2(self, sample_files, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            cli.parse_args([sample_files[0] if a == "DATA" else a for a in argv])
+        assert err.value.code == 2
+        assert f"lqrt: error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, setup", [
         (["--tests", "sign"], "unpaired_equal_var"),  # fine for the first two set-ups only
@@ -188,6 +199,16 @@ class TestRun:
         assert 0.0 <= report["pvalue"] <= 1.0
         assert report["seed"] == 3
         assert report["bootstrap"] == 100
+
+    def test_unseeded_report_has_no_seed(self, sample_files, capsys):
+        argv = ["onesample", sample_files[0], "--bootstrap", "10"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] is None
+        assert cli.main([*argv, "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "statistic,pvalue,q,bootstrap,degenerate_fraction,seed"
+        fields = row.split(",")
+        assert len(fields) == 6 and fields[3] == "10" and fields[5] == ""
 
     def test_paired_two_files(self, sample_files, capsys):
         a, b = sample_files
@@ -256,7 +277,7 @@ class TestDeterminism:
         env = dict(os.environ)
         env.update(extra_env or {})
         proc = subprocess.run(
-            [sys.executable, "-m", "lqrt.cli", *args],
+            [sys.executable, "-m", "lqrt", *args],
             capture_output=True,
             env=env,
         )
@@ -297,7 +318,13 @@ GOLDEN_TESTS = [
     (["unpaired", "pair_x.csv", "pair_y.csv", "--seed", "11"], "cli_unpaired.json"),
     (["unpaired", "pair_x.csv", "pair_y.csv", "--seed", "11", "--no-equal-var"], "cli_unpaired_welch.json"),
     (["selectq", "pair_x.csv", "pair_y.csv", "--format", "csv"], "cli_selectq.csv"),
+    (["onesample", "pair_x.csv", "--seed", "7", "--format", "csv"], "cli_onesample.csv"),
+    (["unpaired", "pair_x.csv", "pair_y.csv", "--seed", "11", "--no-equal-var", "--format", "csv"],
+     "cli_unpaired_welch.csv"),
+    (["selectq", "pair_x.csv", "pair_y.csv"], "cli_selectq.json"),
+    (["onesample", "-", "--seed", "7"], "cli_onesample.json"),  # pair_x.csv on stdin
 ]
+GOLDEN_IDS = [golden + ("-stdin" if "-" in argv else "") for argv, golden in GOLDEN_TESTS]
 
 
 class TestGoldenOutput:
@@ -308,13 +335,14 @@ class TestGoldenOutput:
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == (DATA / golden).read_bytes()
 
-    @pytest.mark.parametrize("argv, golden", GOLDEN_TESTS, ids=[g for _, g in GOLDEN_TESTS])
+    @pytest.mark.parametrize("argv, golden", GOLDEN_TESTS, ids=GOLDEN_IDS)
     def test_test_subcommands_match_golden_bytes(self, argv, golden):
         # p, q and degenerate_fraction were captured before `_test` chose its own statistic, the
         # statistic when it became one sum of weight differences, and the pooled one when its null
         # fit became two blocks of one group; every byte must stay
         argv = [str(DATA / a) if a.endswith(".csv") else a for a in argv]
-        proc = subprocess.run([sys.executable, "-m", "lqrt", *argv], capture_output=True)
+        stdin = (DATA / "pair_x.csv").read_bytes()
+        proc = subprocess.run([sys.executable, "-m", "lqrt", *argv], input=stdin, capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == (DATA / golden).read_bytes()
 

@@ -158,6 +158,10 @@ class TestRunScenario:
         a = gemsim.run_scenario(sc, "ranksum", eps_grid=[0.0, 0.2], reps=40, seed=123)
         b = gemsim.run_scenario(sc, "ranksum", eps_grid=[0.0, 0.2], reps=40, seed=123)
         assert a == b
+        # without a seed, one is drawn, echoed in every estimate, and reproduces the run
+        drawn = gemsim.run_scenario(sc, "ranksum", eps_grid=[0.0, 0.2], reps=40, seed=None)
+        assert len({est.seed for est in drawn}) == 1 and type(drawn[0].seed) is int
+        assert gemsim.run_scenario(sc, "ranksum", eps_grid=[0.0, 0.2], reps=40, seed=drawn[0].seed) == drawn
 
     def test_interval_orders_rate(self):
         sc = gemsim.builtin_scenarios()[0]
@@ -170,6 +174,8 @@ class TestRunScenario:
             gemsim.run_scenario(sc, "anova", eps_grid=[0.0], reps=1, seed=0)
         with pytest.raises(ValueError):
             gemsim.run_scenario(sc, "ranksum", eps_grid=[0.0], reps=1, seed=0)  # not in set-up
+        with pytest.raises(ValueError, match="unknown setup 'bogus'"):
+            gemsim.ScenarioSpec("bogus", (0.0,), (0.3,), (1.0, None, 50.0))
 
     def test_invalid_parameters_rejected(self):
         sc = gemsim.builtin_scenarios()[0]

@@ -142,6 +142,8 @@ class TestFitNormal:
             lqrt.fit_normal([1.0, np.nan, 2.0], 0.8)
         with pytest.raises(ValueError):
             lqrt.fit_normal([1.0, 2.0], 1.5)
+        with pytest.raises(ValueError, match="per-row q must match the number of rows"):
+            mlqe.batch_fit_normal(np.random.default_rng(14).normal(0, 1, (5, 4)), [0.5, 0.7, 0.9])
 
     def test_max_iter_returns_last_iterate(self):
         rng = np.random.default_rng(13)
