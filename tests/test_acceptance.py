@@ -285,7 +285,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     def invoke(threads: str):
         env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
-            [sys.executable, "-m", "lqrt.cli", "onesample", str(data), "--mu0", "0.1",
+            [sys.executable, "-m", "lqrt", "onesample", str(data), "--mu0", "0.1",
              "--seed", "7", "--bootstrap", "150"],
             capture_output=True,
             env=env,
@@ -298,17 +298,23 @@ def test_criterion_10_cli_determinism(tmp_path):
     fourth = invoke("4")
 
     proc = subprocess.run(
-        [sys.executable, "-m", "lqrt.cli", "simulate", "--scenario", "one_sample",
+        [sys.executable, "-m", "lqrt", "simulate", "--scenario", "one_sample",
          "--tests", "lqrt,t", "--eps", "0,0.1", "--reps", "3", "--bootstrap", "25",
          "--seed", "9"],
         capture_output=True,
     )
     sim_a = proc.stdout
     sim_b = subprocess.run(
-        [sys.executable, "-m", "lqrt.cli", "simulate", "--scenario", "one_sample",
+        [sys.executable, "-m", "lqrt", "simulate", "--scenario", "one_sample",
          "--tests", "lqrt,t", "--eps", "0,0.1", "--reps", "3", "--bootstrap", "25",
          "--seed", "9"],
         capture_output=True,
     ).stdout
-    ok = first == second == fourth and sim_a == sim_b and proc.returncode == 0
+    ok = (
+        first.startswith(b'{"statistic": ')
+        and first == second == fourth
+        and sim_a.startswith(b"scenario,")
+        and sim_a == sim_b
+        and proc.returncode == 0
+    )
     _report("criterion 10 (CLI determinism)", ok, f"{len(first)}-byte reports identical")

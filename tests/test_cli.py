@@ -282,6 +282,7 @@ class TestDeterminism:
             env=env,
         )
         assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout, "the CLI printed nothing"
         return proc.stdout
 
     def test_repeat_runs_byte_identical(self, sample_files):
