@@ -133,9 +133,12 @@ def parse_args(argv) -> argparse.Namespace:
 
 def _lines_from(path: str) -> list[str]:
     if path == "-":
-        return sys.stdin.read().splitlines()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read().splitlines()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    # a UTF-8 byte-order mark is not part of the first line
+    return text.removeprefix("\ufeff").splitlines()
 
 
 def _parse_column(lines, path: str, ncols: int):
@@ -147,15 +150,16 @@ def _parse_column(lines, path: str, ncols: int):
             continue
         fields = [f.strip() for f in stripped.split(",")] if ncols > 1 else [stripped]
         try:
-            if len(fields) != ncols:
-                raise ValueError
             values = [float(f) for f in fields]
         except ValueError:
-            if header_allowed:
-                header_allowed = False
-                continue
-            raise ValueError(f"{path}: could not parse line {lineno}: {raw!r}")
+            values = None
+        # only a first line with a non-numeric field is a header; numbers in the wrong count are an error
+        if values is None and header_allowed:
+            header_allowed = False
+            continue
         header_allowed = False
+        if values is None or len(values) != ncols:
+            raise ValueError(f"{path}: could not parse line {lineno}: {raw!r}")
         for col, value in zip(columns, values):
             col.append(value)
     if not columns[0]:
@@ -164,13 +168,13 @@ def _parse_column(lines, path: str, ncols: int):
 
 
 def read_sample(path: str) -> np.ndarray:
-    """One value per line; a single leading non-numeric header line is skipped."""
+    """One value per line; a single leading non-numeric header line is skipped, and so is a UTF-8 byte-order mark."""
     (col,) = _parse_column(_lines_from(path), path, 1)
     return col
 
 
 def read_paired_columns(path: str):
-    """Two comma-separated columns per line, optional header line."""
+    """Two comma-separated columns per line; a header line and a byte-order mark are skipped as in read_sample."""
     return tuple(_parse_column(_lines_from(path), path, 2))
 
 

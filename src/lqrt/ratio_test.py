@@ -85,40 +85,23 @@ def _ratio(blocks, alt, null, q):
     return np.maximum(2.0 * total / s, 0.0)
 
 
-def _degenerate(*fits) -> np.ndarray:
-    # fits are (converged, clipped) pairs; a row is degenerate if any fit
-    # clipped or failed to converge.
-    bad = np.zeros_like(fits[0][0], dtype=bool)
-    for conv, clip in fits:
-        bad |= ~conv | clip
-    return bad
-
-
-# Each batch statistic tests mu = 0 on one sample or mu1 = mu2 on two.  It takes
-# one (B, n_k) block per sample, the q of each row and the FitConfig, and returns
-# (statistic, degenerate), one value per row.
-
-
-def _batch_statistic_1samp(blocks, q, cfg: FitConfig):
-    (xs,) = blocks
-    mu1, s21, _, conv1, clip1 = mlqe.batch_fit_normal(xs, q, cfg)
-    mu0, s20, _, conv0, clip0 = mlqe.batch_fit_variance_known_mean(xs, q, cfg)
-    return _ratio(blocks, [(mu1, s21)], [(mu0, s20)], q), _degenerate((conv1, clip1), (conv0, clip0))
-
-
-def _batch_statistic_ind_equal(blocks, q, cfg: FitConfig):
-    xs, ys = blocks
-    mx, my, s2, _, conv1, clip1 = mlqe.batch_fit_shared_variance(xs, ys, q, cfg)
-    (mu0,), (s20,), _, conv0, clip0 = mlqe._fixed_point(blocks, (0, 0), (0, 0), q, cfg)
-    return _ratio(blocks, [(mx, s2), (my, s2)], [(mu0, s20)] * 2, q), _degenerate((conv1, clip1), (conv0, clip0))
-
-
-def _batch_statistic_ind_unequal(blocks, q, cfg: FitConfig):
-    xs, ys = blocks
-    (mx, s2x, _, convx, clipx), (my, s2y, _, convy, clipy) = (mlqe.batch_fit_normal(b, q, cfg) for b in blocks)
-    mu0, s2x0, s2y0, _, conv0, clip0 = mlqe.batch_fit_shared_mean(xs, ys, q, cfg)
-    d = _ratio(blocks, [(mx, s2x), (my, s2y)], [(mu0, s2x0), (mu0, s2y0)], q)
-    return d, _degenerate((convx, clipx), (convy, clipy), (conv0, clip0))
+def _batch_statistic(blocks, equal_var, q, cfg: FitConfig):
+    # (statistic, degenerate) per row for H0: mu = 0 on one (B, n) block, or mu1 = mu2 on two, with one pooled
+    # variance when equal_var holds and free ones (Welch) otherwise; one block ignores equal_var.  Each fit returns
+    # its parameters, then (iterations, converged, clipped); a row is degenerate when any fit of it clipped or did
+    # not converge.
+    if equal_var and len(blocks) == 2:
+        fits = mlqe.batch_fit_shared_variance(*blocks, q, cfg), mlqe._fixed_point(blocks, (0, 0), (0, 0), q, cfg)
+        (mx, my, s2, *_), ((mu0,), (s20,), *_) = fits
+        alt, null = [(mx, s2), (my, s2)], [(mu0, s20)] * 2
+    else:
+        # each block free, then the null: the mean pinned at 0 on one block, shared by two
+        null_fit = mlqe.batch_fit_variance_known_mean if len(blocks) == 1 else mlqe.batch_fit_shared_mean
+        fits = *(mlqe.batch_fit_normal(b, q, cfg) for b in blocks), null_fit(*blocks, q, cfg)
+        mu0, *s20 = fits[-1][:len(blocks) + 1]
+        alt, null = [fit[:2] for fit in fits[:-1]], [(mu0, s2) for s2 in s20]
+    degenerate = np.any([~conv | clip for *_, conv, clip in fits], axis=0)
+    return _ratio(blocks, alt, null, q), degenerate
 
 
 def _min_len(q) -> int:
@@ -139,17 +122,17 @@ def _minus_null(q, x, null, name: str) -> tuple:
 
 def statistic_1samp(x, mu0: float, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """One-sample ratio statistic for H0: mu = mu0; equals the Gaussian LRT at q = 1."""
-    return float(_batch_statistic_1samp(_minus_null(q, x, mu0, "mu0"), np.full(1, check_q(q)), cfg)[0][0])
+    return float(_batch_statistic(_minus_null(q, x, mu0, "mu0"), None, np.full(1, check_q(q)), cfg)[0][0])
 
 
 def statistic_ind_equal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """Two-sample ratio statistic under a shared-variance alternative."""
-    return float(_batch_statistic_ind_equal(_stack(q, x=x, y=y), np.full(1, check_q(q)), cfg)[0][0])
+    return float(_batch_statistic(_stack(q, x=x, y=y), True, np.full(1, check_q(q)), cfg)[0][0])
 
 
 def statistic_ind_unequal_var(x, y, q: float, cfg: FitConfig = DEFAULT_CONFIG) -> float:
     """Two-sample ratio statistic with free per-sample variances."""
-    return float(_batch_statistic_ind_unequal(_stack(q, x=x, y=y), np.full(1, check_q(q)), cfg)[0][0])
+    return float(_batch_statistic(_stack(q, x=x, y=y), False, np.full(1, check_q(q)), cfg)[0][0])
 
 
 # NumPy's SeedSequence constants (numpy/random/bit_generator.pyx), for
@@ -273,29 +256,27 @@ def _count_pvalue(boot: np.ndarray, observed: float) -> float:
     return count / boot.size
 
 
-def _test(samples, equal_var: bool, q, bootstrap: int, seeds) -> list[TestOutcome]:
+def _test(samples, equal_var, q, bootstrap: int, seeds) -> list[TestOutcome]:
     """The TestOutcomes of R datasets tested together at DEFAULT_CONFIG; every test result is made here.
 
     `samples` holds one (R, n_k) block per sample, row r of each being
     dataset r, and `seeds` the R seeds.  One block is the one-sample test
-    of H0: mu = 0 (lqrtest_1samp tests x - u); two blocks are the
-    two-sample test of equal means, pooled when equal_var holds and Welch
-    otherwise.  One stacked run of the grid (Q_GRID with q None, else (q,))
-    fits every sample free at each grid q and gives dataset r the q of its
-    least objective.  Each sample's mean there centres it, which puts it on
-    the null, for resampling with replacement, the samples in order within
-    each repetition's substream.  One batch statistic, at each row's q,
-    takes row r*bootstrap + i as dataset r's i-th resample and row
-    R*bootstrap + r as dataset r itself; outcome r equals that of dataset r
-    tested alone, bit for bit.  The rows are index blocks read through lazy
-    gathers (mlqe._Gather) of each sample centred and then as observed, so
-    their float rows exist only a window at a time.
+    of H0: mu = 0 (lqrtest_1samp tests x - u, with equal_var None, which
+    one block ignores); two blocks are the two-sample test of equal means,
+    pooled when equal_var is True and Welch when it is False.  One stacked
+    run of the grid (Q_GRID with q None, else (q,)) fits every sample free
+    at each grid q and gives dataset r the q of its least objective.  Each
+    sample's mean there centres it, which puts it on the null, for
+    resampling with replacement, the samples in order within each
+    repetition's substream.  One call of _batch_statistic, at each row's q,
+    runs every fit of the test once over all rows: row r*bootstrap + i is
+    dataset r's i-th resample and row R*bootstrap + r is dataset r itself;
+    outcome r equals that of dataset r tested alone, bit for bit.  The rows
+    are index blocks read through lazy gathers (mlqe._Gather) of each
+    sample centred and then as observed, so their float rows exist only a
+    window at a time.
     """
     bootstrap = check_count(bootstrap, "bootstrap")
-    if len(samples) == 1:
-        statistic = _batch_statistic_1samp
-    else:
-        statistic = _batch_statistic_ind_equal if equal_var else _batch_statistic_ind_unequal
     grid = Q_GRID if q is None else (check_q(q),)
     objectives, means = _grid_objectives(samples, grid, DEFAULT_CONFIG)
     best = _best_q(objectives)
@@ -305,7 +286,7 @@ def _test(samples, equal_var: bool, q, bootstrap: int, seeds) -> list[TestOutcom
     source = np.append(np.repeat(np.arange(reps), bootstrap), np.arange(reps, 2 * reps))
     blocks = [mlqe._Gather(np.concatenate((s - mu[np.arange(reps), best, None], s)).ravel(), i, source * s.shape[1])
               for s, mu, i in zip(samples, means, idx)]
-    stats, degen = statistic(blocks, np.append(np.repeat(q, bootstrap), q), DEFAULT_CONFIG)
+    stats, degen = _batch_statistic(blocks, equal_var, np.append(np.repeat(q, bootstrap), q), DEFAULT_CONFIG)
     outcomes = []
     for r, stat in enumerate(stats[reps * bootstrap:].tolist()):
         rows = slice(r * bootstrap, (r + 1) * bootstrap)

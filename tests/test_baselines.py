@@ -335,6 +335,9 @@ class TestSpecialFunctions:
             baselines.regularized_incomplete_beta(-1.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             baselines.regularized_incomplete_beta(1.0, 2.0, 1.5)
+        for a, b in ((math.inf, 2.0), (2.0, math.inf)):
+            with pytest.raises(ValueError, match="a and b must be finite"):
+                baselines.regularized_incomplete_beta(a, b, 0.5)
 
     def test_normal_cdf(self):
         assert baselines.normal_cdf(0.0) == 0.5

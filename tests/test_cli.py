@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -189,6 +190,23 @@ class TestReadSample:
         assert x.tolist() == [1.0, 3.0]
         assert y.tolist() == [2.0, 4.0]
 
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        # "\ufeff1.5" does not parse: a mark left in place would drop the first value as a header
+        path = tmp_path / "v.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5\n2.0\n3.0\n4.0\n")
+        assert cli.read_sample(str(path)).tolist() == [1.5, 2.0, 3.0, 4.0]
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        assert [c.tolist() for c in cli.read_paired_columns(str(path))] == [[1.0, 3.0], [2.0, 4.0]]
+        path.write_bytes(b"\xef\xbb\xbfbefore,after\n1,2\n3,4\n")
+        assert [c.tolist() for c in cli.read_paired_columns(str(path))] == [[1.0, 3.0], [2.0, 4.0]]
+
+    @pytest.mark.parametrize("text, lineno", [("1,2,3\n4,5\n6,7\n", 1), ("1\n4,5\n6,7\n", 1), ("4,5\n6,7,8\n", 2)])
+    def test_numbers_in_the_wrong_count_are_not_a_header(self, tmp_path, text, lineno):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"could not parse line {lineno}:"):
+            cli.read_paired_columns(str(path))
+
 
 class TestRun:
     def test_onesample_json_schema(self, sample_files, capsys):
@@ -346,6 +364,13 @@ class TestGoldenOutput:
         proc = subprocess.run([sys.executable, "-m", "lqrt", *argv], input=stdin, capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == (DATA / golden).read_bytes()
+
+    def test_byte_order_mark_on_stdin_is_not_data(self, monkeypatch, capsys):
+        # pair_x.csv's values without their header, behind a UTF-8 BOM: the golden report, no value dropped
+        values = (DATA / "pair_x.csv").read_bytes().split(b"\n", 1)[1]
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf" + values), encoding="utf-8"))
+        assert cli.main(["onesample", "-", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == (DATA / "cli_onesample.json").read_text()
 
     def test_golden_pair_files_hold_one_pair(self):
         x, y = cli.read_sample(str(DATA / "pair_x.csv")), cli.read_sample(str(DATA / "pair_y.csv"))

@@ -617,9 +617,9 @@ class TestStackedDriver:
         assert got.tobytes() == (a * b * a).reshape(len(xs), -1).tobytes()
 
     STATISTICS = {
-        "onesample": ("_batch_statistic_1samp", lambda x, y, m, q: lqrt.statistic_1samp(x, m, q)),
-        "pooled": ("_batch_statistic_ind_equal", lambda x, y, m, q: lqrt.statistic_ind_equal_var(x, y, q)),
-        "welch": ("_batch_statistic_ind_unequal", lambda x, y, m, q: lqrt.statistic_ind_unequal_var(x, y, q)),
+        "onesample": lambda x, y, m, q: lqrt.statistic_1samp(x, m, q),
+        "pooled": lambda x, y, m, q: lqrt.statistic_ind_equal_var(x, y, q),
+        "welch": lambda x, y, m, q: lqrt.statistic_ind_unequal_var(x, y, q),
     }
 
     @pytest.mark.parametrize("q", [None, 0.7])
@@ -627,15 +627,15 @@ class TestStackedDriver:
     def test_observed_rows_ride_in_the_bootstrap_batch(self, monkeypatch, kind, q):
         # one statistic call over R * (B + 1) rows: the R resample blocks, then each dataset as observed,
         # whose statistics are the public statistic's bits at its q-hat
-        name, public = self.STATISTICS[kind]
-        seen, real = [], getattr(ratio_test, name)
+        public = self.STATISTICS[kind]
+        seen, real = [], ratio_test._batch_statistic
 
-        def spy(blocks, qs, cfg):
-            out = real(blocks, qs, cfg)
+        def spy(blocks, equal_var, qs, cfg):
+            out = real(blocks, equal_var, qs, cfg)
             seen.append((blocks, qs, out[0]))
             return out
 
-        monkeypatch.setattr(ratio_test, name, spy)
+        monkeypatch.setattr(ratio_test, "_batch_statistic", spy)
         xs, ys = self._datasets()
         samples = (np.stack(xs) - np.c_[self.MU0],) if kind == "onesample" else (np.stack(xs), np.stack(ys))
         stacked = ratio_test._test(samples, kind == "pooled", q, 20, range(5))
@@ -656,21 +656,20 @@ class TestStackedDriver:
     def test_free_fits_from_the_grid_equal_standalone_fits(self, monkeypatch, kind, q):
         # each sample's free fit at q-hat comes off the grid's rows and centres its resamples: stacked and
         # alone, its mean is a standalone batch_fit_normal's bits, and every resample draws from the sample less it
-        name, _ = self.STATISTICS[kind]
         means, blocks = [], []
-        grid_objectives, statistic = ratio_test._grid_objectives, getattr(ratio_test, name)
+        grid_objectives, statistic = ratio_test._grid_objectives, ratio_test._batch_statistic
 
         def grid_spy(samples, grid, cfg):
             out = grid_objectives(samples, grid, cfg)
             means.append(out[1])
             return out
 
-        def statistic_spy(bs, qs, cfg):
+        def statistic_spy(bs, equal_var, qs, cfg):
             blocks.append(bs)
-            return statistic(bs, qs, cfg)
+            return statistic(bs, equal_var, qs, cfg)
 
         monkeypatch.setattr(ratio_test, "_grid_objectives", grid_spy)
-        monkeypatch.setattr(ratio_test, name, statistic_spy)
+        monkeypatch.setattr(ratio_test, "_batch_statistic", statistic_spy)
         xs, ys = self._datasets()
         samples = (np.stack(xs) - np.c_[self.MU0],) if kind == "onesample" else (np.stack(xs), np.stack(ys))
         runs = [(samples, ratio_test._test(samples, kind == "pooled", q, 20, range(5)))]
