@@ -85,9 +85,7 @@ def parse_args(argv) -> argparse.Namespace:
 
     rel = subs.add_parser("paired", help="test equality of means of paired samples")
     rel.add_argument("inputs", nargs="+", metavar="data",
-                     help="two files, or one two-column file with --paired-columns")
-    rel.add_argument("--paired-columns", action="store_true",
-                     help="read both samples from one comma-separated file")
+                     help="two files (one value per line), or one file of comma-separated pairs")
     _add_test(rel)
 
     ind = subs.add_parser("unpaired", help="test equality of means of independent samples")
@@ -116,13 +114,8 @@ def parse_args(argv) -> argparse.Namespace:
     sim.add_argument("-o", "--output", default=None)
 
     args = parser.parse_args(argv)
-    if args.subcommand == "selectq" and len(args.inputs) > 2:
-        parser.error("selectq takes one or two input files")
-    if args.subcommand == "paired":
-        if args.paired_columns and len(args.inputs) != 1:
-            parser.error("--paired-columns takes exactly one input file")
-        if not args.paired_columns and len(args.inputs) != 2:
-            parser.error("paired needs two input files (or one with --paired-columns)")
+    if args.subcommand in ("selectq", "paired") and len(args.inputs) > 2:
+        parser.error(f"{args.subcommand} takes one or two input files")
     if args.subcommand == "simulate" and args.tests is not None:
         for setup in (gemsim.SETUPS if args.scenario == "all" else (args.scenario,)):
             for test in args.tests:
@@ -132,13 +125,13 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _lines_from(path: str) -> list[str]:
+    """Lines of a file or of stdin ('-') as strict UTF-8 whatever the locale, without a leading byte-order mark."""
     if path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    # a UTF-8 byte-order mark is not part of the first line
-    return text.removeprefix("\ufeff").splitlines()
+        with open(path, "rb") as handle:
+            data = handle.read()
+    return data.decode("utf-8-sig").splitlines()
 
 
 def _parse_column(lines, path: str, ncols: int):
@@ -168,13 +161,13 @@ def _parse_column(lines, path: str, ncols: int):
 
 
 def read_sample(path: str) -> np.ndarray:
-    """One value per line; a single leading non-numeric header line is skipped, and so is a UTF-8 byte-order mark."""
+    """One value per line of UTF-8 ('-' for stdin); a first line with a non-numeric field is a header and skipped."""
     (col,) = _parse_column(_lines_from(path), path, 1)
     return col
 
 
 def read_paired_columns(path: str):
-    """Two comma-separated columns per line; a header line and a byte-order mark are skipped as in read_sample."""
+    """Two comma-separated columns per line, read and with a header skipped as in read_sample."""
     return tuple(_parse_column(_lines_from(path), path, 2))
 
 
@@ -235,7 +228,7 @@ def _simulate_report(cfg: argparse.Namespace) -> str:
 def _report(cfg: argparse.Namespace) -> str:
     if cfg.subcommand == "simulate":
         return _simulate_report(cfg)
-    if cfg.subcommand == "paired" and cfg.paired_columns:
+    if cfg.subcommand == "paired" and len(cfg.inputs) == 1:
         samples = read_paired_columns(cfg.inputs[0])
     else:
         samples = [read_sample(path) for path in cfg.inputs]

@@ -80,7 +80,6 @@ class ScenarioSpec:
     means_alt: tuple
     variances: tuple  # (sigma1_sq, sigma2_sq or None, tau_sq)
     n: int = 50
-    hypothesis: str = ""
 
     def __post_init__(self):
         if self.setup not in SETUPS:
@@ -145,28 +144,24 @@ def builtin_scenarios() -> list[ScenarioSpec]:
             means_null=(0.0,),
             means_alt=(0.34,),
             variances=(1.0, None, 50.0),
-            hypothesis="H0: mu = 0 vs H1: mu != 0",
         ),
         ScenarioSpec(
             setup="paired",
             means_null=(0.0, 0.0),
             means_alt=(0.0, 0.50),
             variances=(1.0, 1.0, 50.0),
-            hypothesis="H0: mu1 = mu2 vs H1: mu1 != mu2",
         ),
         ScenarioSpec(
             setup="unpaired_equal_var",
             means_null=(0.0, 0.0),
             means_alt=(0.0, 0.50),
             variances=(1.0, 1.0, 50.0),
-            hypothesis="H0: mu1 = mu2 vs H1: mu1 != mu2",
         ),
         ScenarioSpec(
             setup="unpaired_unequal_var",
             means_null=(0.0, 0.0),
             means_alt=(0.0, 0.50),
             variances=(1.0, 0.01, 50.0),
-            hypothesis="H0: mu1 = mu2 vs H1: mu1 != mu2",
         ),
     ]
 

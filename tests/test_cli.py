@@ -134,8 +134,8 @@ class TestParseArgs:
 
     @pytest.mark.parametrize("argv, message", [
         (["selectq", "DATA", "DATA", "DATA"], "selectq takes one or two input files"),
-        (["paired", "DATA"], "paired needs two input files (or one with --paired-columns)"),
-        (["paired", "DATA", "DATA", "--paired-columns"], "--paired-columns takes exactly one input file"),
+        (["paired", "DATA", "DATA", "DATA"], "paired takes one or two input files"),
+        (["paired", "DATA", "--paired-columns"], "unrecognized arguments: --paired-columns"),
     ])
     def test_wrong_number_of_inputs_exits_2(self, sample_files, capsys, argv, message):
         with pytest.raises(SystemExit) as err:
@@ -234,14 +234,19 @@ class TestRun:
         report = json.loads(capsys.readouterr().out)
         assert report["pvalue"] > 0.05
 
-    def test_paired_columns_flag(self, tmp_path, capsys):
+    def test_paired_one_file(self, tmp_path, capsys):
+        # one file is read as two comma-separated columns, and reports as the two files of its columns
         rng = np.random.default_rng(8)
         x = rng.normal(0, 1, 30)
         y = rng.normal(0, 1, 30)
         path = tmp_path / "p.csv"
         path.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)) + "\n")
-        assert cli.main(["paired", str(path), "--paired-columns", "--seed", "4"]) == 0
-        json.loads(capsys.readouterr().out)
+        assert cli.main(["paired", str(path), "--seed", "4"]) == 0
+        one = capsys.readouterr().out
+        json.loads(one)
+        files = [write_sample(tmp_path / "x.csv", x), write_sample(tmp_path / "y.csv", y)]
+        assert cli.main(["paired", *files, "--seed", "4"]) == 0
+        assert capsys.readouterr().out == one
 
     def test_unpaired(self, sample_files, capsys):
         a, b = sample_files
@@ -333,7 +338,7 @@ GOLDEN_SIMULATE = ["simulate", "--reps", "5", "--eps", "0,0.1", "--bootstrap", "
 # test subcommands on one fixed contaminated pair: pair_x.csv and pair_y.csv, side by side in pair.csv
 GOLDEN_TESTS = [
     (["onesample", "pair_x.csv", "--seed", "7"], "cli_onesample.json"),
-    (["paired", "pair.csv", "--paired-columns", "--seed", "5"], "cli_paired.json"),
+    (["paired", "pair.csv", "--seed", "5"], "cli_paired.json"),
     (["unpaired", "pair_x.csv", "pair_y.csv", "--seed", "11"], "cli_unpaired.json"),
     (["unpaired", "pair_x.csv", "pair_y.csv", "--seed", "11", "--no-equal-var"], "cli_unpaired_welch.json"),
     (["selectq", "pair_x.csv", "pair_y.csv", "--format", "csv"], "cli_selectq.csv"),
@@ -342,6 +347,7 @@ GOLDEN_TESTS = [
      "cli_unpaired_welch.csv"),
     (["selectq", "pair_x.csv", "pair_y.csv"], "cli_selectq.json"),
     (["onesample", "-", "--seed", "7"], "cli_onesample.json"),  # pair_x.csv on stdin
+    (["paired", "-", "--seed", "5"], "cli_paired.json"),  # pair.csv on stdin
 ]
 GOLDEN_IDS = [golden + ("-stdin" if "-" in argv else "") for argv, golden in GOLDEN_TESTS]
 
@@ -360,17 +366,34 @@ class TestGoldenOutput:
         # statistic when it became one sum of weight differences, and the pooled one when its null
         # fit became two blocks of one group; every byte must stay
         argv = [str(DATA / a) if a.endswith(".csv") else a for a in argv]
-        stdin = (DATA / "pair_x.csv").read_bytes()
+        stdin = (DATA / ("pair.csv" if argv[0] == "paired" else "pair_x.csv")).read_bytes()
         proc = subprocess.run([sys.executable, "-m", "lqrt", *argv], input=stdin, capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == (DATA / golden).read_bytes()
 
     def test_byte_order_mark_on_stdin_is_not_data(self, monkeypatch, capsys):
-        # pair_x.csv's values without their header, behind a UTF-8 BOM: the golden report, no value dropped
+        # pair_x.csv's values without their header, behind a UTF-8 BOM: the golden report, no value dropped,
+        # whatever encoding stdin's text layer has
         values = (DATA / "pair_x.csv").read_bytes().split(b"\n", 1)[1]
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf" + values), encoding="utf-8"))
-        assert cli.main(["onesample", "-", "--seed", "7"]) == 0
-        assert capsys.readouterr().out == (DATA / "cli_onesample.json").read_text()
+        for encoding in ("utf-8", "latin-1"):
+            stdin = io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf" + values), encoding=encoding)
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert cli.main(["onesample", "-", "--seed", "7"]) == 0
+            assert capsys.readouterr().out == (DATA / "cli_onesample.json").read_text()
+
+    def test_undecodable_byte_is_an_error_from_stdin_and_file(self, monkeypatch, capsys, tmp_path):
+        # under a C locale Python reads stdin as UTF-8 with surrogateescape, which would turn the byte
+        # into a header line; both inputs are strict UTF-8 and exit 1 with the codec's message
+        data = b"\xff1.5\n2.0\n3.0\n4.0\n"
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert cli.main(["onesample", "-"]) == 1
+        from_stdin = capsys.readouterr().err
+        path = tmp_path / "v.csv"
+        path.write_bytes(data)
+        assert cli.main(["onesample", str(path)]) == 1
+        assert capsys.readouterr().err == from_stdin
+        assert "'utf-8' codec can't decode" in from_stdin
 
     def test_golden_pair_files_hold_one_pair(self):
         x, y = cli.read_sample(str(DATA / "pair_x.csv")), cli.read_sample(str(DATA / "pair_y.csv"))
