@@ -116,6 +116,8 @@ def parse_args(argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.subcommand in ("selectq", "paired") and len(args.inputs) > 2:
         parser.error(f"{args.subcommand} takes one or two input files")
+    if getattr(args, "inputs", []).count("-") > 1:
+        parser.error("stdin ('-') can be read only once")
     if args.subcommand == "simulate" and args.tests is not None:
         for setup in (gemsim.SETUPS if args.scenario == "all" else (args.scenario,)):
             for test in args.tests:
@@ -131,7 +133,10 @@ def _lines_from(path: str) -> list[str]:
     else:
         with open(path, "rb") as handle:
             data = handle.read()
-    return data.decode("utf-8-sig").splitlines()
+    try:
+        return data.decode("utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_column(lines, path: str, ncols: int):

@@ -215,15 +215,15 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
     the other maps, whose reach and likelihood guard suffice.
 
     Rows iterate in a window of at most WINDOW_ELEMENTS values (one row at
-    least).  The loop starts with an empty window, and whenever half of it is
-    free the next rows take the freed slots, so the first rows enter by the
-    same path as the later ones.  Beside the data, every state of a row in the
-    window (its point, its acceleration state, q, its floor and clip flag, the
-    step it entered after and its index) is one column of one array, so
-    dropping the finished rows is one take per buffer.  A row's start, step
-    count, acceleration and stop are its own, so the window changes no bit of
-    the result.  A block may be a `_Gather`: only the rows in the window are
-    ever built.
+    least), a pool of slots that starts empty; the next rows take any free
+    slots, so the first rows enter by the same path as the later ones.  Beside
+    the data, every state of a row in the window (its point, its acceleration
+    state, q, its floor and clip flag, the step it entered after and its index)
+    is one column of one array.  A finished row's slot is refilled by a live
+    row from past the window's new end, one assignment per buffer.  A row's
+    start, step count (max_iter included), acceleration and stop are its own,
+    so the window changes no bit of the result.  A block may be a `_Gather`:
+    only the rows in the window are ever built.
     """
     blocks = [x if isinstance(x, _Gather) else np.asarray(x, dtype=float) for x in blocks]
     B = blocks[0].shape[0]
@@ -269,10 +269,9 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
         return d
 
     # Each block has three (window, n_k) buffers: the data of the rows in the
-    # window, compact in the leading rows, their weights, and a spare that holds
-    # products and the next compaction.  Every other per-row state is one column
-    # of a (3P + 9, window) array, compact in the leading columns in the order the
-    # rows entered, with a spare of its own; `named` gives its rows:
+    # window, in the leading rows, their weights, and a spare for the update's
+    # products.  Every other per-row state is one column of a (3P + 9, window)
+    # array, a row's column at the same slot as its data; `named` gives its rows:
     # - point, where the map is evaluated next; alt, the map's last output, the y
     #   a trial falls back to; back, the scaled plain step into the point (P rows each);
     # - back2, back's squared length (0 when there is none); ref_total, the weight
@@ -280,10 +279,10 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
     #   extrapolated by (0 when it was not);
     # - q; the variance floor; the clip flag (0 or 1); the step the row entered
     #   after and its row index, whole numbers that float64 holds exactly.
-    # A row that finishes is written out and dropped by one take per buffer.
+    # A finished row is written out and its slot refilled from the window's end.
     cap = min(B, max(1, WINDOW_ELEMENTS // sum(x.shape[1] for x in blocks)))
     data, weights, spare = ([np.empty((cap, x.shape[1])) for x in blocks] for _ in range(3))
-    state, state_spare = np.empty((3 * P + 9, cap)), np.empty((3 * P + 9, cap))
+    state = np.empty((3 * P + 9, cap))
 
     def named(columns):
         return (columns[:P], columns[P:2 * P], columns[2 * P:3 * P], *columns[3 * P:])
@@ -335,8 +334,8 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
         m = entered = step = 0
         trials = False
         while True:
-            # rows enter whenever half the window is free, the first ones into the empty window
-            if 2 * m <= cap and entered < B:
+            # rows enter whenever the window has a free slot, the first ones into the empty window
+            if m < cap and entered < B:
                 rows = slice(entered, min(B, entered + cap - m))
                 enter(rows, m, step)
                 m, entered = m + rows.stop - rows.start, rows.stop
@@ -419,23 +418,20 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
                 np.copyto(tried, a, where=gate)
             back[:], back2[:], alt[:], ref_total[:] = ahead, ahead2, new, total
 
-            if step - entry[0] == cfg.max_iter:
-                # the rows that entered first reach max_iter first
-                finished = finished | (entry == entry[0])
+            finished = finished | (step - entry == cfg.max_iter)  # not |=: finished may be done itself
             if finished.any():
                 rows = idx[finished].astype(np.intp)
                 fitted[:, rows] = new[:, finished]
                 iterations[rows] = step - entry[finished]
                 converged[rows] = done[finished]
                 clipped[rows] = clip_a[finished]
-                left = np.flatnonzero(~finished)
-                m = len(left)
-                # the rows still iterating move to the spares, which become the buffers
-                for k, x in enumerate(xa):
-                    np.take(x, left, axis=0, out=spare[k][:m], mode="clip")
-                    data[k], spare[k] = spare[k], data[k]
-                np.take(state[:, :len(finished)], left, axis=1, out=state_spare[:, :m], mode="clip")
-                state, state_spare = state_spare, state
+                # the live rows past the new end move into the finished rows' slots before it
+                m -= np.count_nonzero(finished)
+                holes = np.flatnonzero(finished[:m])
+                movers = m + np.flatnonzero(~finished[m:])
+                for d in data:
+                    d[holes] = d[movers]
+                state[:, holes] = state[:, movers]
                 views = named(state[:, :m])
     means = [np.zeros(B)] if pinned else list(fitted[:J])
     return means, list(fitted[J:]), iterations, converged, clipped

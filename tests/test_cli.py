@@ -136,6 +136,8 @@ class TestParseArgs:
         (["selectq", "DATA", "DATA", "DATA"], "selectq takes one or two input files"),
         (["paired", "DATA", "DATA", "DATA"], "paired takes one or two input files"),
         (["paired", "DATA", "--paired-columns"], "unrecognized arguments: --paired-columns"),
+        (["paired", "-", "-"], "stdin ('-') can be read only once"),
+        (["unpaired", "-", "-"], "stdin ('-') can be read only once"),
     ])
     def test_wrong_number_of_inputs_exits_2(self, sample_files, capsys, argv, message):
         with pytest.raises(SystemExit) as err:
@@ -383,7 +385,8 @@ class TestGoldenOutput:
 
     def test_undecodable_byte_is_an_error_from_stdin_and_file(self, monkeypatch, capsys, tmp_path):
         # under a C locale Python reads stdin as UTF-8 with surrogateescape, which would turn the byte
-        # into a header line; both inputs are strict UTF-8 and exit 1 with the codec's message
+        # into a header line; both inputs are strict UTF-8 and exit 1 with the codec's message behind
+        # the input's name
         data = b"\xff1.5\n2.0\n3.0\n4.0\n"
         stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
         monkeypatch.setattr(sys, "stdin", stdin)
@@ -392,8 +395,15 @@ class TestGoldenOutput:
         path = tmp_path / "v.csv"
         path.write_bytes(data)
         assert cli.main(["onesample", str(path)]) == 1
-        assert capsys.readouterr().err == from_stdin
-        assert "'utf-8' codec can't decode" in from_stdin
+        assert capsys.readouterr().err == from_stdin.replace("lqrt: error: -: ", f"lqrt: error: {path}: ")
+        assert from_stdin.startswith("lqrt: error: -: 'utf-8' codec can't decode")
+
+    def test_undecodable_file_is_named(self, capsys, tmp_path):
+        # with two inputs the message says which one holds the byte
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff1\n2\n3\n")
+        assert cli.main(["unpaired", str(DATA / "pair_x.csv"), str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"lqrt: error: {bad}: 'utf-8' codec can't decode byte 0xff")
 
     def test_golden_pair_files_hold_one_pair(self):
         x, y = cli.read_sample(str(DATA / "pair_x.csv")), cli.read_sample(str(DATA / "pair_y.csv"))
