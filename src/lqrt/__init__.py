@@ -23,7 +23,7 @@ from .gemsim import (
     sample_gem,
     sample_gem_paired,
 )
-from .lqmath import lq_likelihood, lq_log, lq_weight
+from .lqmath import lq_likelihood
 from .mlqe import (
     DEFAULT_CONFIG,
     VARIANCE_FLOOR,
@@ -72,8 +72,6 @@ __all__ = [
     "fit_shared_variance",
     "fit_variance_known_mean",
     "lq_likelihood",
-    "lq_log",
-    "lq_weight",
     "lqrtest_1samp",
     "lqrtest_ind",
     "lqrtest_rel",

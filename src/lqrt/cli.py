@@ -7,6 +7,7 @@ round-trips, and seeded invocations are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -189,6 +190,13 @@ _TEST_FIELDS = ("statistic", "pvalue", "q", "bootstrap", "degenerate_fraction")
 _SIMULATE_HEADER = ("scenario", "test", "epsilon", "rate", "ci_low", "ci_high", "reps", "alpha", "seed")
 
 
+def _json_value(value) -> str:
+    # JSON has no token for inf or nan, so a non-finite number is written as null, like a missing one
+    if value is None or not (isinstance(value, (int, np.integer)) or math.isfinite(value)):
+        return "null"
+    return _fmt(value)
+
+
 def _json(pairs) -> str:
     return "{" + ", ".join(f'"{key}": {value}' for key, value in pairs) + "}\n"
 
@@ -199,18 +207,18 @@ def _csv(header, rows) -> str:
 
 def _test_report(outcome: ratio_test.TestOutcome, seed, fmt: str) -> str:
     header = _TEST_FIELDS + ("seed",)
-    values = [_fmt(getattr(outcome, name)) for name in _TEST_FIELDS]
+    values = [getattr(outcome, name) for name in _TEST_FIELDS] + [seed]
     if fmt == "csv":
-        return _csv(header, [values + ["" if seed is None else _fmt(seed)]])
-    return _json(zip(header, values + ["null" if seed is None else _fmt(seed)]))
+        return _csv(header, [["" if v is None else _fmt(v) for v in values]])
+    return _json(zip(header, map(_json_value, values)))
 
 
 def _selectq_report(report: ratio_test.QSelectionReport, fmt: str) -> str:
-    grid = [(_fmt(q), _fmt(v)) for q, v in report.grid]
     if fmt == "csv":
-        return _csv(("q", "objective"), grid)
-    pairs = ", ".join(f"[{q}, {v}]" for q, v in grid)
-    return _json([("q", _fmt(report.q_hat)), ("objective", _fmt(report.objective)), ("grid", f"[{pairs}]")])
+        return _csv(("q", "objective"), [(_fmt(q), _fmt(v)) for q, v in report.grid])
+    pairs = ", ".join(f"[{_json_value(q)}, {_json_value(v)}]" for q, v in report.grid)
+    return _json([("q", _json_value(report.q_hat)), ("objective", _json_value(report.objective)),
+                  ("grid", f"[{pairs}]")])
 
 
 def _simulate_report(cfg: argparse.Namespace) -> str:

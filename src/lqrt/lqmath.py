@@ -1,13 +1,15 @@
-"""Deformed-logarithm primitives for the normal family, and input validation.
+"""The Lq-likelihood of the normal family, the kernel behind it, and input validation.
 
 The distortion parameter ``q`` interpolates between a robust objective
-(q < 1, bounded below) and the plain log-likelihood (q = 1).  Every
-function here is elementwise and broadcasts like numpy: scalars in,
-scalar out; a (B, n) data block with (B, 1) parameters, q among them,
-gives one row per fit.  The weights and the Lq-likelihood both come from
-one kernel, s log f(x | mu, sigma2) with s = 1 - q, in one pass for any
-mix of q.  The fitters, the test statistics and q selection evaluate it
-through private forms that check neither sigma2 nor q.
+(q < 1, bounded below) and the plain log-likelihood (q = 1).  The one
+public primitive, `lq_likelihood`, sums the deformed logarithm
+ln_q(u) = (u^(1-q) - 1)/(1 - q), ln(u) at q = 1, of the normal density,
+and broadcasts like numpy: a (B, n) data block with (B, 1) parameters, q
+among them, gives one sum per row.  It shares one kernel with the
+fitters' weights f^(1-q) and the q grid's mu-derivatives:
+s log f(x | mu, sigma2) with s = 1 - q, in one pass for any mix of q.
+The fitters, the test statistics and q selection evaluate it through
+private forms that check neither sigma2 nor q.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ __all__ = [
     "as_sample",
     "check_finite",
     "check_count",
-    "lq_log",
-    "normal_log_pdf",
-    "lq_weight",
     "lq_likelihood",
-    "lq_score_mu",
-    "lq_curvature_mu",
 ]
 
 
@@ -109,25 +106,6 @@ def _check_sigma2(sigma2):
         raise ValueError("sigma2 must be positive")
 
 
-def lq_log(u, q):
-    """Deformed logarithm: ln(u) at q = 1, else (u^(1-q) - 1)/(1 - q); q may be an array too.
-
-    Exact logarithm where q == 1 (no smoothing); for q < 1 the value is
-    bounded below by -1/(1-q).  Computed as expm1(s ln u)/s with s = 1 - q,
-    which is the same quantity without the cancellation of the naive
-    power form.
-    """
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0):
-        raise ValueError("lq_log requires positive input")
-    q = _q_array(q)
-    s = np.where(q == 1.0, 1.0, 1.0 - q)
-    out = np.asarray(s * np.log(u))
-    np.expm1(out, out=out, where=q != 1.0)
-    out /= s
-    return out if out.ndim else float(out)
-
-
 def _scaled_log_pdf(x, mu, sigma2, s, out=None, sq=None):
     # s * log N(x | mu, sigma2) as c - k (x - mu)^2, with c = -(s/2) log(2 pi sigma2) and k = s / (2 sigma2)
     # formed once per row; multiplying by k makes s = 0 give 0, not a division by zero.  No sigma2 check,
@@ -142,31 +120,14 @@ def _scaled_log_pdf(x, mu, sigma2, s, out=None, sq=None):
 
 
 def _weight(x, mu, sigma2, q, out=None, sq=None):
-    # lq_weight without the sigma2 check, in out as for _scaled_log_pdf: the fixed-point driver's kernel
+    # f(x|mu,sigma2)^(1-q) through the log density, so an outlier whose density underflows keeps a subnormal
+    # weight; no sigma2 or q check, in out as for _scaled_log_pdf: the fixed-point loop's kernel
     z = _scaled_log_pdf(x, mu, sigma2, 1.0 - q, out, sq)
     return np.exp(z, out=z)
 
 
-def normal_log_pdf(x, mu, sigma2):
-    """Log density of N(mu, sigma2) at x."""
-    _check_sigma2(sigma2)
-    out = -0.5 * np.log(2.0 * np.pi * sigma2) - np.subtract(x, mu, dtype=float) ** 2 / (2.0 * sigma2)
-    return out if out.ndim else float(out)
-
-
-def lq_weight(x, mu, sigma2, q):
-    """Per-observation weight f(x|mu,sigma2)^(1-q); q may be an array too.
-
-    Evaluated through the log density so that extreme outliers keep a
-    usable (subnormal) weight where the density itself underflows to 0.
-    """
-    _check_sigma2(sigma2)
-    out = _weight(x, mu, sigma2, _q_array(q))
-    return out if np.ndim(out) else float(out)
-
-
 def lq_likelihood(sample, mu, sigma2, q):
-    """Sum of lq_log(f(x_i|mu,sigma2)) over the last axis of the sample.
+    """Sum of ln_q(f(x_i|mu,sigma2)) over the last axis of the sample.
 
     A float for a 1-D sample, one sum per row for a (B, n) block.  Equals
     the Gaussian log-likelihood at q = 1.  q is a scalar, or a (B, 1)
@@ -187,22 +148,8 @@ def lq_likelihood(sample, mu, sigma2, q):
 
 
 def _mu_derivatives(x, mu, sigma2, q):
-    # the first and second mu-derivatives of lq_log(f(x|mu,sigma2)), from one weight evaluation
+    # the first and second mu-derivatives of ln_q(f(x|mu,sigma2)), from one weight evaluation
     x = np.asarray(x, dtype=float)
     w = _weight(x, mu, sigma2, q)
     z = (x - mu) / sigma2
     return w * z, w * ((1.0 - q) * z ** 2 - 1.0 / sigma2)
-
-
-def lq_score_mu(x, mu, sigma2, q):
-    """First mu-derivative of lq_log(f(x|mu,sigma2)): weight times Gaussian score."""
-    _check_sigma2(sigma2)
-    out = _mu_derivatives(x, mu, sigma2, _q_array(q))[0]
-    return out if np.ndim(out) else float(out)
-
-
-def lq_curvature_mu(x, mu, sigma2, q):
-    """Second mu-derivative of lq_log(f(x|mu,sigma2))."""
-    _check_sigma2(sigma2)
-    out = _mu_derivatives(x, mu, sigma2, _q_array(q))[1]
-    return out if np.ndim(out) else float(out)

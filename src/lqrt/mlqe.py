@@ -345,7 +345,7 @@ def _fixed_point(blocks, mean_of, var_of, q, cfg: FitConfig, pinned=False):
             step += 1
             point, alt, back, back2, ref_total, bound, tried, q_a, floor_a, clip_a, entry, idx = views
             xa = [d[:m] for d in data]
-            # the floor keeps every variance positive, so the weights skip lq_weight's check
+            # the floor keeps every variance positive, so the weights need no sigma2 check
             w = [
                 _weight(x, 0.0 if pinned else point[i][:, None], point[J + j][:, None], q_a[:, None], buf[:m],
                         x if pinned else None)

@@ -35,6 +35,12 @@ def _weights(xs, mu, s2, q):
     return [math.exp((1.0 - q) * _logpdf(v, mu, s2)) for v in xs]
 
 
+def lq_log_pdf(x, mu, s2, q):
+    """ln_q of the normal density at x: (f^(1-q) - 1)/(1 - q), and ln f at q = 1."""
+    log_f = _logpdf(x, mu, s2)
+    return log_f if q == 1.0 else math.expm1((1.0 - q) * log_f) / (1.0 - q)
+
+
 def fit_normal_oracle(xs, q, tol=1e-12, max_iter=50000, floor=FLOOR):
     xs = [float(v) for v in xs]
     n = len(xs)

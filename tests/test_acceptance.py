@@ -131,13 +131,12 @@ def test_criterion_04_derivative_checks():
             dn = _lq_of_pdf_mp(x, mp.mpf(mu) - h, s2, q)
 
             fd_score = float((up - dn) / (2 * h))
-            exact_score = lqmath.lq_score_mu(x, mu, s2, q)
+            exact_score, exact_curv = lqmath._mu_derivatives(x, mu, s2, q)
             worst_score = max(
                 worst_score, abs(fd_score - exact_score) / max(abs(exact_score), 1e-3)
             )
 
             fd_curv = float((up - 2 * mid + dn) / (h * h))
-            exact_curv = lqmath.lq_curvature_mu(x, mu, s2, q)
             worst_curv = max(
                 worst_curv, abs(fd_curv - exact_curv) / max(abs(exact_curv), 1e-3)
             )

@@ -268,6 +268,19 @@ class TestRun:
         assert lines[0] == "q,objective"
         assert len(lines) == 52
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale, token", [(1e150, "inf"), (1e-140, "nan")])
+    def test_selectq_json_parses_at_any_scale(self, tmp_path, capsys, scale, token):
+        # JSON has no inf or nan, so an objective that overflows (x 1e150) or is undefined (x 1e-140) is null
+        # there; the CSV keeps the token
+        header, *values = (DATA / "pair_x.csv").read_text().split()
+        path = write_sample(tmp_path / "scaled.csv", [float(v) * scale for v in values], header)
+        assert cli.main(["selectq", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["grid"][0] == [0.5, None] and report["objective"] is not None
+        assert cli.main(["selectq", path, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"0.5,{token}"
+
     def test_simulate_schema_and_rates(self, capsys):
         code = cli.main(
             ["simulate", "--scenario", "one_sample", "--tests", "t", "--eps", "0,0.2",

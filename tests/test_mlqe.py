@@ -102,7 +102,7 @@ class TestFitNormal:
             q = rng.uniform(0.5, 0.95)
             fit = lqrt.fit_normal(x, q)
             assert fit.converged and not fit.clipped
-            w = lqmath.lq_weight(x, fit.mu, fit.sigma2, q)
+            w = lqmath._weight(x, fit.mu, fit.sigma2, q)
             mu_next = np.sum(w * x) / np.sum(w)
             s2_next = np.sum(w * (x - mu_next) ** 2) / np.sum(w)
             assert abs(mu_next - fit.mu) / np.sqrt(s2_next) < DEFAULT_CONFIG.tol
@@ -425,11 +425,11 @@ def plain_fit(blocks, mean_of, var_of, q, pinned=False, tol=1e-12, max_iter=20_0
 def plain_step(blocks, mean_of, var_of, q, mu, s2, pinned=False):
     """One step of the reweighting map from (mu, s2), each shaped (groups, rows), with q one value per row.
 
-    The weights are lq_weight at the point; each mean group moves to its
+    The weights are f^(1-q) at the point (the fitters' kernel); each mean group moves to its
     blocks' pooled weighted mean (unless pinned) and each variance group to
     its blocks' pooled weighted squared deviations from the new means.
     """
-    w = [lqmath.lq_weight(x, mu[i][:, None], s2[j][:, None], q[:, None]) for x, i, j in zip(blocks, mean_of, var_of)]
+    w = [lqmath._weight(x, mu[i][:, None], s2[j][:, None], q[:, None]) for x, i, j in zip(blocks, mean_of, var_of)]
     sw = [wk.sum(axis=1) for wk in w]
 
     def pooled(values, of):

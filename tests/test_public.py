@@ -32,8 +32,8 @@ def test_every_exported_name_resolves(module):
 def test_removed_names_are_gone():
     section = _removed_section()
     removed = re.findall(r"^- `(\w+)\(", section, re.M)
-    assert len(removed) >= 3
-    for module in (lqrt, lqrt.ratio_test, lqrt.mlqe):
+    assert len(removed) >= 8
+    for module in (lqrt, lqrt.ratio_test, lqrt.mlqe, lqrt.lqmath):
         assert not [name for name in removed if hasattr(module, name)], module.__name__
     # the README names them only in that list
     elsewhere = README.replace(section, "")

@@ -604,15 +604,16 @@ class TestStackedDriver:
         assert not math.isnan(report.objective)
         assert report.objective == min(v for _, v in report.grid if not math.isnan(v))
 
-    def test_grid_objectives_are_the_sandwich_of_the_public_derivatives(self):
+    def test_grid_objectives_are_the_sandwich_of_the_kernel_derivatives(self):
         # one weight evaluation serves score and curvature; the objectives keep their bits
         xs, _ = self._datasets()
         block = np.repeat(np.stack(xs), len(lqrt.Q_GRID), axis=0)
         qs = np.tile(lqrt.Q_GRID, len(xs))
         mu, s2, *_ = mlqe.batch_fit_normal(block, qs)
         args = (block, mu[:, None], s2[:, None], qs[:, None])
-        b = np.mean(lqmath.lq_score_mu(*args) ** 2, axis=1)
-        a = 1.0 / np.mean(lqmath.lq_curvature_mu(*args), axis=1)
+        score, curvature = lqmath._mu_derivatives(*args)
+        b = np.mean(score ** 2, axis=1)
+        a = 1.0 / np.mean(curvature, axis=1)
         got, _ = ratio_test._sandwich_objectives(np.stack(xs), lqrt.Q_GRID, mlqe.DEFAULT_CONFIG)
         assert got.tobytes() == (a * b * a).reshape(len(xs), -1).tobytes()
 
