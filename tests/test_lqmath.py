@@ -198,17 +198,26 @@ class TestBroadcastBlocks:
         q = rng.uniform(0.5, 1.0, (7, 1))
         return xs, mu, s2, q
 
-    @staticmethod
-    def _kernels(x, mu, s2, q):
-        # the log density, the weight, and the score and curvature
-        log_f = lqmath._scaled_log_pdf(x, mu, s2, 1.0)
-        return log_f, lqmath._weight(x, mu, s2, q), *lqmath._mu_derivatives(x, mu, s2, q)
-
-    def test_kernels_match_row_by_row_calls(self):
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            pytest.param(lqmath._weight, id="lq_weight"),
+            pytest.param(lambda *a: lqmath._mu_derivatives(*a)[0], id="lq_score_mu"),
+            pytest.param(lambda *a: lqmath._mu_derivatives(*a)[1], id="lq_curvature_mu"),
+        ],
+    )
+    def test_elementwise_primitives(self, fn):
+        # the weight and the score and curvature kernels, under the names of the quantities they compute
         xs, mu, s2, q = self._block()
-        rows = [self._kernels(xs[b], mu[b, 0], s2[b, 0], q[b, 0]) for b in range(xs.shape[0])]
-        for block, by_row in zip(self._kernels(xs, mu, s2, q), zip(*rows)):
-            assert block.tobytes() == np.array(by_row).tobytes()
+        block = fn(xs, mu, s2, q)
+        rows = np.array([fn(xs[b], mu[b, 0], s2[b, 0], q[b, 0]) for b in range(xs.shape[0])])
+        assert block.tobytes() == rows.tobytes()
+
+    def test_normal_log_pdf(self):
+        xs, mu, s2, _ = self._block()
+        block = lqmath._scaled_log_pdf(xs, mu, s2, 1.0)
+        rows = np.array([lqmath._scaled_log_pdf(xs[b], mu[b, 0], s2[b, 0], 1.0) for b in range(xs.shape[0])])
+        assert block.tobytes() == rows.tobytes()
 
     def test_kernels_are_the_written_formulas(self):
         # the kernels write into one buffer but keep the formulas' operations and order, so their bits
